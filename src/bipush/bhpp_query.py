@@ -19,7 +19,6 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -35,16 +34,36 @@ class IndexMeta:
 
     lam upper-bounds every column sum of the hidden walk-score matrix; tau is
     the probe depth used to compute it; mu is the density proxy feeding the
-    epsilon split; eps_split_policy maps a query epsilon to its backward
-    share.
+    epsilon split. Values no query can run on raise DataError.
     """
 
     alpha: float
     lam: float
     tau: int
     mu: float
-    eps_split_policy: Callable[[float], float]
     graph_fingerprint: str
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise DataError(f"index alpha must lie strictly between 0 and 1, got {self.alpha}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise DataError(f"index lambda must be positive and finite, got {self.lam}")
+        if not math.isfinite(self.mu):
+            raise DataError(f"index mu must be finite, got {self.mu}")
+        if self.tau < 0:
+            raise DataError(f"index tau must be nonnegative, got {self.tau}")
+
+    def eps_split_policy(self, epsilon: float) -> float:
+        """Backward share of a query's epsilon."""
+        return choose_eps_b(epsilon, self.mu)
+
+    def check_graph(self, g: BipartiteGraph) -> None:
+        """Raise DataError unless this metadata was built for graph g."""
+        if self.graph_fingerprint != g.fingerprint:
+            raise DataError(
+                "index metadata does not match this graph (fingerprint mismatch); "
+                "rebuild the index with preprocess"
+            )
 
 
 @dataclass
@@ -107,18 +126,11 @@ def choose_eps_b(epsilon: float, mu) -> float:
 def build_index_meta(g: BipartiteGraph, alpha: float = 0.15, tau: int | None = None) -> IndexMeta:
     if tau is None:
         tau = default_tau(g, alpha)
-    lam = estimate_lambda(g, alpha, tau)
-    mu = estimate_mu(g)
-
-    def policy(epsilon: float, _mu=mu) -> float:
-        return choose_eps_b(epsilon, _mu)
-
     return IndexMeta(
         alpha=alpha,
-        lam=lam,
+        lam=estimate_lambda(g, alpha, tau),
         tau=int(tau),
-        mu=mu,
-        eps_split_policy=policy,
+        mu=estimate_mu(g),
         graph_fingerprint=g.fingerprint,
     )
 
@@ -140,21 +152,19 @@ def load_meta(path) -> IndexMeta:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read index metadata: {exc}") from None
-    if payload.get("format_version") != META_VERSION:
+    if not isinstance(payload, dict) or payload.get("format_version") != META_VERSION:
         raise DataError("unsupported index metadata version")
-    mu = float(payload["mu"])
-
-    def policy(epsilon: float, _mu=mu) -> float:
-        return choose_eps_b(epsilon, _mu)
-
-    return IndexMeta(
-        alpha=float(payload["alpha"]),
-        lam=float(payload["lambda"]),
-        tau=int(payload["tau"]),
-        mu=mu,
-        eps_split_policy=policy,
-        graph_fingerprint=str(payload["graph_fingerprint"]),
-    )
+    try:
+        fields = dict(
+            alpha=float(payload["alpha"]),
+            lam=float(payload["lambda"]),
+            tau=int(payload["tau"]),
+            mu=float(payload["mu"]),
+            graph_fingerprint=str(payload["graph_fingerprint"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed index metadata: {exc!r}") from None
+    return IndexMeta(**fields)
 
 
 def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, round_hook=None) -> QueryResult:
@@ -164,11 +174,7 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     was built for a different graph, ValueError when the epsilon split leaves
     no forward budget.
     """
-    if meta.graph_fingerprint != g.fingerprint:
-        raise DataError(
-            "index metadata does not match this graph (fingerprint mismatch); "
-            "rebuild the index"
-        )
+    meta.check_graph(g)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     q = g.u_id(query_u) if isinstance(query_u, str) else int(query_u)

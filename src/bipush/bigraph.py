@@ -5,8 +5,13 @@ edges. Random walks used elsewhere in this package alternate sides: a step
 from a U-node picks an incident edge with probability proportional to its
 weight, lands on a V-node, and immediately hops back to U the same way. The
 resulting one-side transition matrix over U (each entry a sum over shared
-neighbors) is never materialized; this module exposes the two row-stochastic
-factor matrices and per-entry access instead.
+neighbors) is never materialized.
+
+Every kernel runs on two receiver-normalized matrices, one per side, that
+reuse the side's CSR arrays: `u_recv` (|U|x|V|, entry w(u, v) / ws(v)) and
+`v_recv` (|V|x|U|, entry w(u, v) / ws(u)). `v_recv @ x` carries a
+distribution x on U one hop to V and `u_recv @ y` carries y on V back to U;
+their transposes are the row-stochastic step matrices U->V and V->U.
 
 Graphs are immutable after construction: the backing arrays are marked
 read-only and derived views are cached.
@@ -37,6 +42,11 @@ def _frozen(a):
     return a
 
 
+def _recv(data, indices, indptr, shape) -> sp.csr_matrix:
+    # copy=False keeps the graph's own int32 indices as the matrix's indices.
+    return sp.csr_matrix((_frozen(data), indices, indptr), shape=shape, copy=False)
+
+
 class BipartiteGraph:
     """Immutable weighted bipartite graph in CSR form for both sides.
 
@@ -48,6 +58,8 @@ class BipartiteGraph:
         v_indptr, v_indices, v_weights: V-side CSR (neighbors are U indices).
         ws_u, ws_v: per-node incident weight sums (always positive).
         deg_u, deg_v: per-node neighbor counts (always at least 1).
+        u_recv, v_recv: the two receiver-normalized transition matrices,
+            built on first use over the U-side and V-side CSR arrays.
     """
 
     def __init__(self, u_labels, v_labels, edge_u, edge_v, edge_w):
@@ -82,7 +94,7 @@ class BipartiteGraph:
         order = np.lexsort((ev, eu))
         eu, ev, ew = eu[order], ev[order], ew[order]
         pair_key = eu * self.v_count + ev
-        if np.unique(pair_key).size != pair_key.size:
+        if (np.diff(pair_key) == 0).any():
             raise DataError("duplicate edge passed to constructor")
         self.edge_count = int(eu.size)
 
@@ -143,49 +155,28 @@ class BipartiteGraph:
         except KeyError:
             raise DataError(f"unknown V-side label: {label!r}") from None
 
-    # -- derived transition structure -----------------------------------------
+    # -- receiver-normalized transition structure ------------------------------
 
     @cached_property
-    def u_step(self) -> sp.csr_matrix:
-        """Row-stochastic |U|x|V| matrix: step from a U-node to a neighbor."""
-        data = self.u_weights / np.repeat(self.ws_u, self.deg_u)
-        return sp.csr_matrix(
-            (data, self.u_indices.astype(np.int64), self.u_indptr),
-            shape=(self.u_count, self.v_count),
-        )
+    def u_recv(self) -> sp.csr_matrix:
+        """|U|x|V| CSR on the U-side arrays, entry w(u, v) / ws(v).
 
-    @cached_property
-    def v_step(self) -> sp.csr_matrix:
-        """Row-stochastic |V|x|U| matrix: step from a V-node to a neighbor."""
-        data = self.v_weights / np.repeat(self.ws_v, self.deg_v)
-        return sp.csr_matrix(
-            (data, self.v_indices.astype(np.int64), self.v_indptr),
-            shape=(self.v_count, self.u_count),
-        )
-
-    @cached_property
-    def u_step_t(self) -> sp.csr_matrix:
-        """Transpose of u_step as CSR, for fast right-multiplication."""
-        return self.u_step.T.tocsr()
-
-    @cached_property
-    def v_step_t(self) -> sp.csr_matrix:
-        """Transpose of v_step as CSR."""
-        return self.v_step.T.tocsr()
-
-    @cached_property
-    def recv_uv(self) -> np.ndarray:
-        """Per U-side edge slot: weight normalized by the receiving V-node.
-
-        Aligned with u_indices; entry for slot (u_i -> v_j) is
-        w(u_i, v_j) / ws(v_j). Used by scatter-style residue pushes.
+        Row u holds the share of each neighbor's weight sum that u supplies,
+        so `u_recv @ y` moves a distribution y on V one hop to U, and its
+        transpose is the row-stochastic V-to-U step matrix.
         """
-        return _frozen(self.u_weights / self.ws_v[self.u_indices])
+        return _recv(self.u_weights / self.ws_v[self.u_indices], self.u_indices,
+                     self.u_indptr, (self.u_count, self.v_count))
 
     @cached_property
-    def recv_vu(self) -> np.ndarray:
-        """Per V-side edge slot: weight normalized by the receiving U-node."""
-        return _frozen(self.v_weights / self.ws_u[self.v_indices])
+    def v_recv(self) -> sp.csr_matrix:
+        """|V|x|U| CSR on the V-side arrays, entry w(u, v) / ws(u).
+
+        `v_recv @ x` moves a distribution x on U one hop to V; its transpose
+        is the row-stochastic U-to-V step matrix.
+        """
+        return _recv(self.v_weights / self.ws_u[self.v_indices], self.v_indices,
+                     self.v_indptr, (self.v_count, self.u_count))
 
     # -- serialization ---------------------------------------------------------
 
@@ -223,16 +214,17 @@ class BipartiteGraph:
         if version != CACHE_VERSION:
             raise DataError(f"unsupported graph cache version: {version}")
         u_count, v_count, edge_count = struct.unpack_from("<QQQ", buf, 8)
+        # Every count is bounded by the buffer before any slicing: the arrays
+        # and one 4-byte length prefix per label must fit.
+        if 32 + 8 * (u_count + 1) + 12 * edge_count + 4 * (u_count + v_count) > len(buf):
+            raise DataError("graph cache header counts exceed the file size")
         off = 32
-        try:
-            indptr = np.frombuffer(buf, dtype="<i8", count=u_count + 1, offset=off).copy()
-            off += 8 * (u_count + 1)
-            indices = np.frombuffer(buf, dtype="<i4", count=edge_count, offset=off).copy()
-            off += 4 * edge_count
-            weights = np.frombuffer(buf, dtype="<f8", count=edge_count, offset=off).copy()
-            off += 8 * edge_count
-        except ValueError:
-            raise DataError("truncated graph cache file") from None
+        indptr = np.frombuffer(buf, dtype="<i8", count=u_count + 1, offset=off).copy()
+        off += 8 * (u_count + 1)
+        indices = np.frombuffer(buf, dtype="<i4", count=edge_count, offset=off).copy()
+        off += 4 * edge_count
+        weights = np.frombuffer(buf, dtype="<f8", count=edge_count, offset=off).copy()
+        off += 8 * edge_count
         labels = []
         for _ in range(u_count + v_count):
             if off + 4 > len(buf):

@@ -293,8 +293,7 @@ def _load_index(index_dir: str) -> tuple[BipartiteGraph, "IndexMeta"]:
         raise DataError(f"index directory {index_dir!r} needs graph.bin and meta.json")
     g = BipartiteGraph.load(graph_path)
     meta = load_meta(meta_path)
-    if meta.graph_fingerprint != g.fingerprint:
-        raise DataError("index metadata does not match graph.bin; rerun preprocess")
+    meta.check_graph(g)
     return g, meta
 
 

@@ -259,8 +259,8 @@ def naive_ppr_rows(g: BipartiteGraph, alpha: float = 0.15, depth: int = 20):
         on_u = base.copy()
         on_v = np.zeros(g.v_count)
         for _ in range(depth):
-            new_v = (1.0 - alpha) * (g.u_step_t @ on_u)
-            on_u = base + (1.0 - alpha) * (g.v_step_t @ on_v)
+            new_v = (1.0 - alpha) * (g.v_recv @ on_u)
+            on_u = base + (1.0 - alpha) * (g.u_recv @ on_v)
             on_v = new_v
         return alpha * on_u
 
@@ -328,7 +328,7 @@ def _map_ordered(fn, items, threads: int):
 
 def _prewarm(g: BipartiteGraph) -> None:
     # Materialize cached derived matrices before fanning out to threads.
-    g.u_step, g.v_step, g.u_step_t, g.v_step_t, g.recv_uv, g.recv_vu
+    g.u_recv, g.v_recv
 
 
 def qr_ndcg_eval(

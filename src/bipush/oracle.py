@@ -41,7 +41,8 @@ def exact_hpp(g: BipartiteGraph, alpha: float, tol: float = 1e-12, cap: int = 20
         raise DataError(
             f"graph too wide for the dense reference: {g.u_count} > cap={cap}"
         )
-    P = (g.u_step @ g.v_step).toarray()
+    # U->V step times V->U step.
+    P = (g.v_recv.T @ g.u_recv.T).toarray()
     A = (1.0 - alpha) * P
     S = np.eye(g.u_count)
     M = A.copy()
@@ -66,7 +67,7 @@ def exact_hpp_solve(g: BipartiteGraph, alpha: float, cap: int = 2000) -> np.ndar
         raise DataError(
             f"graph too wide for the dense reference: {g.u_count} > cap={cap}"
         )
-    P = (g.u_step @ g.v_step).toarray()
+    P = (g.v_recv.T @ g.u_recv.T).toarray()
     n = g.u_count
     system = np.eye(n) - (1.0 - alpha) * P
     # Pi @ system = alpha I  =>  system^T @ Pi^T = alpha I.

@@ -13,16 +13,24 @@ mid-hop. The conservation law
 
 holds at every round boundary (V residues zero) and is what the tests probe.
 
-ss_push adds an operation budget: once the settled work n_p (degree sum of
-every node pushed so far) exceeds 2|E| log_{1/(1-alpha)}(1 / residue mass),
-thresholded pushing has stopped paying for itself and the kernel switches to
-full sequential rounds that push every positive residue. pi_push reuses the
-same machinery to answer the forward question "where does a walk from u
-land", exploiting the reversibility of the two-hop chain: backward residues
-and estimates convert to forward ones through the weight-sum ratio
-ws(u_i)/ws(u), so it continues pushing the seed ledger under per-node
-thresholds ws(u)/ws(u_i) * eps_f/lambda, and on budget exhaustion finishes
-the transformed residues with power iterations.
+Both halves of a round are one primitive, `_push_rows`: add scale times the
+given rows of a receiver-normalized matrix (g.u_recv for the U half, g.v_recv
+for the V half), weighted by the pushed residues, into the other side's
+residues. It scatters slot by slot while the pushed rows are a small share of
+the edges and otherwise runs one sparse mat-vec with the matrix's transpose.
+
+Every kernel runs the same loop of thresholded rounds, `_rounds`, which stops
+when no U residue exceeds its threshold or when the kernel's budget rule
+says so. ss_push budgets the settled work: once n_p (degree sum of every node
+pushed so far) exceeds 2|E| log_{1/(1-alpha)}(1 / residue mass), thresholded
+pushing has stopped paying for itself and the kernel switches to sequential
+rounds that push every positive residue. pi_push reuses the loop to answer
+the forward question "where does a walk from u land", exploiting the
+reversibility of the two-hop chain: backward residues and estimates convert
+to forward ones through the weight-sum ratio ws(u_i)/ws(u), so it continues
+pushing the seed ledger under per-node thresholds ws(u)/ws(u_i) *
+eps_f/lambda, and on budget exhaustion finishes the transformed residues
+with power iterations.
 
 Cost model: every push adds the pushed node's degree to n_p, and the
 kernels' actual work is proportional to n_p. Rounds run over the whole
@@ -112,8 +120,8 @@ def power_iteration(g, start: np.ndarray, alpha: float, t: int) -> np.ndarray:
         raise ValueError("start vector length must match the U side")
     acc = base.copy()
     for _ in range(int(t)):
-        mid = g.u_step_t @ acc
-        acc = base + (1.0 - alpha) * (g.v_step_t @ mid)
+        mid = g.v_recv @ acc
+        acc = base + (1.0 - alpha) * (g.u_recv @ mid)
     return alpha * acc
 
 
@@ -127,19 +135,14 @@ def selective_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=
     if epsilon_b <= 0:
         raise ValueError("epsilon_b must be positive")
     led = ResidueLedger.initial(g, target_u)
-    rounds = 0
-    while True:
-        rounds += _round(g, led, epsilon_b, alpha)
-        if round_hook is not None:
-            round_hook("selective", rounds, led)
-        if not (led.residue_u > epsilon_b).any():
-            trace = {
-                "selective_rounds": rounds,
-                "sequential_rounds": 0,
-                "power_iterations": 0,
-                "n_p": led.n_p,
-            }
-            return PushOutcome(led, trace, "threshold-met")
+    rounds, _ = _rounds(g, led, alpha, epsilon_b, epsilon_b, "selective", round_hook)
+    trace = {
+        "selective_rounds": rounds,
+        "sequential_rounds": 0,
+        "power_iterations": 0,
+        "n_p": led.n_p,
+    }
+    return PushOutcome(led, trace, "threshold-met")
 
 
 def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -> PushOutcome:
@@ -148,9 +151,9 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
     Selective rounds run as in selective_push; at each round boundary, if all
     residues cleared the threshold the kernel returns, otherwise it compares
     n_p against 2|E| log_{1/(1-alpha)}(1 / residue mass) and on exhaustion
-    switches to sequential rounds (threshold zero) until either every residue
-    or the total mass is at most epsilon_b. Either way the exit guarantees
-    max residue <= epsilon_b, hence the epsilon_b accuracy of the estimates.
+    switches to sequential rounds (threshold zero) until every residue is at
+    most epsilon_b. Either way the exit guarantees max residue <= epsilon_b,
+    hence the epsilon_b accuracy of the estimates.
     """
     _check_alpha(alpha)
     if epsilon_b <= 0:
@@ -158,37 +161,23 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
     led = ResidueLedger.initial(g, target_u)
     log_decay = math.log(1.0 / (1.0 - alpha))
     budget_scale = 2.0 * g.edge_count
-    sel_rounds = 0
-    seq_rounds = 0
-    terminated = None
-    while True:
-        sel_rounds += _round(g, led, epsilon_b, alpha)
-        if round_hook is not None:
-            round_hook("selective", sel_rounds, led)
-        if not (led.residue_u > epsilon_b).any():
-            terminated = "threshold-met"
-            break
+
+    def spent() -> bool:
         mass = float(led.residue_u.sum())
-        if mass <= 0.0:
-            # Defensive: zero mass also satisfies the threshold check above.
-            terminated = "mass-drained"
-            break
-        if led.n_p >= budget_scale * (math.log(1.0 / mass) / log_decay):
-            break
-    if terminated is None:
+        return led.n_p >= budget_scale * (math.log(1.0 / mass) / log_decay)
+
+    sel_rounds, met = _rounds(g, led, alpha, epsilon_b, epsilon_b, "selective", round_hook, spent)
+    seq_rounds = 0
+    if not met:
         # Sequential rounds: push every positive residue, no thresholding.
-        while (led.residue_u > epsilon_b).any() and led.residue_u.sum() > epsilon_b:
-            seq_rounds += _round(g, led, 0.0, alpha)
-            if round_hook is not None:
-                round_hook("sequential", seq_rounds, led)
-        terminated = "budget-switch"
+        seq_rounds, _ = _rounds(g, led, alpha, 0.0, epsilon_b, "sequential", round_hook)
     trace = {
         "selective_rounds": sel_rounds,
         "sequential_rounds": seq_rounds,
         "power_iterations": 0,
         "n_p": led.n_p,
     }
-    return PushOutcome(led, trace, terminated)
+    return PushOutcome(led, trace, "threshold-met" if met else "budget-switch")
 
 
 def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_ledger: ResidueLedger, round_hook=None) -> PushOutcome:
@@ -224,30 +213,18 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
     log_decay = math.log(1.0 / (1.0 - alpha))
     budget_scale = 2.0 * g.edge_count
 
-    sel_rounds = 0
-    power_iters = 0
-    terminated = None
-    while True:
-        sel_rounds += _round(g, led, theta, alpha)
-        if round_hook is not None:
-            round_hook("forward-selective", sel_rounds, led)
-        if not (led.residue_u > theta).any():
-            terminated = "threshold-met"
-            break
+    def spent() -> bool:
         wmass = float((w_ratio * led.residue_u).sum())
-        if wmass <= 0.0:
-            terminated = "mass-drained"
-            break
         budget = budget_scale * (math.log(gamma / wmass) / log_decay)
-        if led.n_p - n_p_entry >= budget:
-            break
+        return led.n_p - n_p_entry >= budget
 
+    sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
+    power_iters = 0
     scores = w_ratio * led.estimate
-    if terminated is None:
+    if not met:
         fwd_residue = w_ratio * led.residue_u
         power_iters = required_iterations(alpha, epsilon_f, float(fwd_residue.sum()))
         scores = scores + power_iteration(g, fwd_residue, alpha, power_iters)
-        terminated = "budget-switch"
     trace = {
         "selective_rounds": sel_rounds,
         "sequential_rounds": 0,
@@ -255,7 +232,7 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
         "n_p": led.n_p,
         "gamma": gamma,
     }
-    return PushOutcome(led, trace, terminated, scores=scores)
+    return PushOutcome(led, trace, "threshold-met" if met else "budget-switch", scores=scores)
 
 
 # -- round primitives ---------------------------------------------------------
@@ -269,12 +246,25 @@ def _check_alpha(alpha):
 def _row_slots(indptr, rows, deg):
     """Global CSR slot indices of all edges incident to the given rows."""
     counts = deg[rows]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    flat = np.arange(total, dtype=np.int64)
+    flat = np.arange(bounds[-1], dtype=np.int64)
     return flat - np.repeat(bounds[:-1], counts) + np.repeat(indptr[rows], counts)
+
+
+def _rounds(g, led: ResidueLedger, alpha: float, push_above, stop_at, phase: str,
+            round_hook=None, spent=None) -> tuple[int, bool]:
+    """Run rounds that push U residues above `push_above` until no residue
+    exceeds `stop_at` (returns rounds, True) or, at a round boundary, the
+    budget rule `spent()` fires (returns rounds, False)."""
+    rounds = 0
+    while True:
+        rounds += _round(g, led, push_above, alpha)
+        if round_hook is not None:
+            round_hook(phase, rounds, led)
+        if not (led.residue_u > stop_at).any():
+            return rounds, True
+        if spent is not None and spent():
+            return rounds, False
 
 
 def _round(g, led: ResidueLedger, threshold, alpha: float) -> int:
@@ -283,42 +273,29 @@ def _round(g, led: ResidueLedger, threshold, alpha: float) -> int:
     worked = 0
     uidx = led.active_u(threshold)
     if uidx.size:
-        _push_u(g, led, uidx, alpha)
+        amounts = led.residue_u[uidx]
+        led.n_p += _push_rows(g.u_recv, g.deg_u, uidx, amounts, led.residue_v, 1.0 - alpha)
+        led.estimate[uidx] += alpha * amounts
+        led.residue_u[uidx] = 0.0
         worked = 1
-    if led.active_v().size:
-        _flush_v(g, led)
+    vidx = led.active_v()
+    if vidx.size:
+        led.n_p += _push_rows(g.v_recv, g.deg_v, vidx, led.residue_v[vidx], led.residue_u, 1.0)
+        led.residue_v[:] = 0.0
         worked = 1
     return worked
 
 
-def _push_u(g, led: ResidueLedger, uidx: np.ndarray, alpha: float) -> None:
-    amounts = led.residue_u[uidx]
-    deg_sum = int(g.deg_u[uidx].sum())
-    if deg_sum <= _SCATTER_LIMIT * g.edge_count:
-        slots = _row_slots(g.u_indptr, uidx, g.deg_u)
-        contrib = (1.0 - alpha) * g.recv_uv[slots] * np.repeat(amounts, g.deg_u[uidx])
-        led.residue_v += np.bincount(
-            g.u_indices[slots], weights=contrib, minlength=g.v_count
-        )
+def _push_rows(mat, deg, rows, amounts, out, scale: float) -> int:
+    """out += scale * sum_k amounts[k] * mat[rows[k], :]; returns the degree
+    sum of the pushed rows (their n_p)."""
+    deg_sum = int(deg[rows].sum())
+    if deg_sum <= _SCATTER_LIMIT * mat.nnz:
+        slots = _row_slots(mat.indptr, rows, deg)
+        contrib = scale * mat.data[slots] * np.repeat(amounts, deg[rows])
+        out += np.bincount(mat.indices[slots], weights=contrib, minlength=out.size)
     else:
-        dense = np.zeros(g.u_count)
-        dense[uidx] = amounts
-        led.residue_v += (1.0 - alpha) * (g.v_step @ dense)
-    led.estimate[uidx] += alpha * amounts
-    led.residue_u[uidx] = 0.0
-    led.n_p += deg_sum
-
-
-def _flush_v(g, led: ResidueLedger) -> None:
-    vidx = led.active_v()
-    deg_sum = int(g.deg_v[vidx].sum())
-    if deg_sum <= _SCATTER_LIMIT * g.edge_count:
-        slots = _row_slots(g.v_indptr, vidx, g.deg_v)
-        contrib = g.recv_vu[slots] * np.repeat(led.residue_v[vidx], g.deg_v[vidx])
-        led.residue_u += np.bincount(
-            g.v_indices[slots], weights=contrib, minlength=g.u_count
-        )
-    else:
-        led.residue_u += g.u_step @ led.residue_v
-    led.residue_v[:] = 0.0
-    led.n_p += deg_sum
+        dense = np.zeros(mat.shape[0])
+        dense[rows] = amounts
+        out += scale * (mat.T @ dense)
+    return deg_sum

@@ -1,5 +1,7 @@
 """Two-direction query assembly, index metadata, and parameter pickers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,35 @@ class TestIndexMeta:
         with pytest.raises(DataError):
             load_meta(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mu", float("nan")),
+            ("mu", float("inf")),
+            ("lambda", -1.0),
+            ("lambda", 0.0),
+            ("lambda", float("nan")),
+            ("lambda", float("inf")),
+            ("alpha", 1.5),
+            ("alpha", 0.0),
+            ("alpha", float("nan")),
+            ("tau", -1),
+            ("tau", "deep"),
+            ("graph_fingerprint", None),  # None removes the key
+        ],
+    )
+    def test_load_rejects_invalid_values(self, tmp_path, key, value):
+        path = tmp_path / "meta.json"
+        save_meta(build_index_meta(synth_bipartite(20, 20, 100, seed=7)), path)
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            load_meta(path)
+
     def test_fingerprint_mismatch_rejected(self):
         g = synth_bipartite(20, 20, 100, seed=8)
         other = synth_bipartite(20, 20, 100, seed=9)
@@ -152,12 +183,16 @@ class TestBhppQuery:
     def test_bad_split_policy_rejected(self):
         g = synth_bipartite(15, 15, 60, seed=14)
         base = build_index_meta(g)
-        broken = IndexMeta(
+
+        class Broken(IndexMeta):
+            def eps_split_policy(self, epsilon):
+                return epsilon  # leaves nothing forward
+
+        broken = Broken(
             alpha=base.alpha,
             lam=base.lam,
             tau=base.tau,
             mu=base.mu,
-            eps_split_policy=lambda eps: eps,  # leaves nothing forward
             graph_fingerprint=base.graph_fingerprint,
         )
         with pytest.raises(ValueError):

@@ -35,6 +35,9 @@ class TestConstruction:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(DataError):
             BipartiteGraph(["u1"], ["v1"], [0, 0], [0, 0], [1.0, 2.0])
+        # the repeated pair is not adjacent in input order
+        with pytest.raises(DataError):
+            BipartiteGraph(["u1", "u2"], ["v1", "v2"], [0, 1, 0], [0, 1, 0], [1.0, 1.0, 2.0])
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DataError):
@@ -86,22 +89,30 @@ class TestDerivedMatrices:
     def test_steps_are_row_stochastic(self):
         rng = np.random.default_rng(11)
         g = random_bigraph(rng, 40, 30, 5.0)
-        np.testing.assert_allclose(g.u_step.sum(axis=1).A1, 1.0, atol=1e-12)
-        np.testing.assert_allclose(g.v_step.sum(axis=1).A1, 1.0, atol=1e-12)
+        np.testing.assert_allclose(g.v_recv.T.sum(axis=1).A1, 1.0, atol=1e-12)
+        np.testing.assert_allclose(g.u_recv.T.sum(axis=1).A1, 1.0, atol=1e-12)
 
     def test_receiver_normalized_slots(self):
         rng = np.random.default_rng(12)
         g = random_bigraph(rng, 25, 20, 4.0)
-        # recv_uv[slot] is the V-side receiving share w / ws(v) for that edge
+        # u_recv.data[slot] is the V-side receiving share w / ws(v) for that edge
         np.testing.assert_allclose(
-            g.recv_uv, g.u_weights / g.ws_v[g.u_indices], atol=0
+            g.u_recv.data, g.u_weights / g.ws_v[g.u_indices], atol=0
         )
         np.testing.assert_allclose(
-            g.recv_vu, g.v_weights / g.ws_u[g.v_indices], atol=0
+            g.v_recv.data, g.v_weights / g.ws_u[g.v_indices], atol=0
         )
 
+    def test_matrices_reuse_the_graph_arrays(self):
+        rng = np.random.default_rng(14)
+        g = random_bigraph(rng, 25, 20, 4.0)
+        assert np.shares_memory(g.u_recv.indices, g.u_indices)
+        assert np.shares_memory(g.v_recv.indices, g.v_indices)
+        np.testing.assert_array_equal(g.u_recv.indptr, g.u_indptr)
+        np.testing.assert_array_equal(g.v_recv.indptr, g.v_indptr)
+
     def test_hidden_transition_matches_dense_product(self, g3):
-        dense = (g3.u_step @ g3.v_step).toarray()
+        dense = (g3.v_recv.T @ g3.u_recv.T).toarray()
         expect = np.array([[0.75, 0.25], [0.5, 0.5]])
         np.testing.assert_allclose(dense, expect, atol=1e-15)
         for i in range(2):
@@ -152,6 +163,14 @@ class TestSerialization:
     def test_trailing_garbage_rejected(self, g2):
         with pytest.raises(DataError):
             BipartiteGraph.from_bytes(g2.to_bytes() + b"\x00")
+
+    @pytest.mark.parametrize("offset", [8, 16, 24], ids=["u_count", "v_count", "edge_count"])
+    @pytest.mark.parametrize("count", [2**63, 2**64 - 1])
+    def test_oversized_header_count_rejected(self, g2, offset, count):
+        buf = bytearray(g2.to_bytes())
+        buf[offset : offset + 8] = count.to_bytes(8, "little")
+        with pytest.raises(DataError):
+            BipartiteGraph.from_bytes(bytes(buf))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -267,7 +267,22 @@ class TestConfigAndErrors:
         code, _, _ = run_cli("--help")
         assert code == EXIT_OK
 
-    def test_stale_index_is_data_error(self, index_dir, tmp_path):
+    def test_invalid_meta_is_data_error(self, index_dir, tmp_path):
+        # a NaN density proxy would split epsilon into NaN and zero every score
+        _, _, idx, _ = index_dir
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "graph.bin").write_bytes((idx / "graph.bin").read_bytes())
+        payload = json.loads((idx / "meta.json").read_text())
+        payload["mu"] = float("nan")
+        (bad / "meta.json").write_text(json.dumps(payload))
+        code, out, err = run_cli("topk", "--index", str(bad), "--query", "u0")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "mu" in err
+
+    @pytest.mark.parametrize("method", ["ssbipush", "pisp"])
+    def test_stale_index_is_data_error(self, index_dir, tmp_path, method):
         # metadata from one graph must not answer queries on another
         base, graph, idx, _ = index_dir
         other = tmp_path / "other"
@@ -281,6 +296,7 @@ class TestConfigAndErrors:
         assert code == EXIT_OK
         # swap in the wrong metadata
         (other / "meta.json").write_text((idx / "meta.json").read_text())
-        code, _, err = run_cli("query", "--index", str(other), "--query", "u0")
+        code, _, err = run_cli("query", "--index", str(other), "--query", "u0", "--method", method)
         assert code == EXIT_DATA
         assert "match" in err
+        assert "rebuild" in err
