@@ -171,8 +171,8 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     """Two-way scores for every U node, accurate to epsilon entrywise.
 
     query_u may be a label or a U index. Raises DataError when the metadata
-    was built for a different graph, ValueError when the epsilon split leaves
-    no forward budget.
+    was built for a different graph or the scores come out non-finite,
+    ValueError when the epsilon split leaves no forward budget.
     """
     meta.check_graph(g)
     if epsilon <= 0:
@@ -193,6 +193,8 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     # pi_push kept settling the shared ledger, so back.ledger.estimate holds
     # the final backward scores.
     scores = fwd.scores + back.ledger.estimate
+    if not np.isfinite(scores).all():
+        raise DataError(f"query {q} produced non-finite scores; the graph's weights are out of range")
     return QueryResult(
         method="ssbipush",
         query_index=q,

@@ -29,7 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 CACHE_MAGIC = b"BPGR"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+_HEADER = struct.Struct("<4sIQQQ")
 
 
 class DataError(ValueError):
@@ -54,7 +55,8 @@ class BipartiteGraph:
         u_count, v_count, edge_count: basic sizes.
         u_labels, v_labels: node labels in index order.
         u_indptr, u_indices, u_weights: U-side CSR (neighbors are V indices,
-            each row sorted by neighbor index).
+            each row sorted by neighbor index); on a graph from `from_bytes`
+            they are views into the cache buffer.
         v_indptr, v_indices, v_weights: V-side CSR (neighbors are U indices).
         ws_u, ws_v: per-node incident weight sums (always positive).
         deg_u, deg_v: per-node neighbor counts (always at least 1).
@@ -72,34 +74,47 @@ class BipartiteGraph:
             raise DataError("empty graph: at least one edge is required")
         if not (eu.size == ev.size == ew.size):
             raise DataError("edge arrays have mismatched lengths")
-        if len(set(u_labels)) != len(u_labels) or len(set(v_labels)) != len(v_labels):
-            raise DataError("duplicate node label within one side")
-        both = set(u_labels) & set(v_labels)
-        if both:
-            raise DataError(f"label appears on both sides: {sorted(both)[0]!r}")
         if eu.min() < 0 or eu.max() >= len(u_labels):
             raise DataError("edge endpoint out of range on the U side")
         if ev.min() < 0 or ev.max() >= len(v_labels):
             raise DataError("edge endpoint out of range on the V side")
-        if not np.isfinite(ew).all() or (ew <= 0).any():
-            raise DataError("edge weights must be positive and finite")
-
-        self.u_count = len(u_labels)
-        self.v_count = len(v_labels)
-        self.u_labels = u_labels
-        self.v_labels = v_labels
 
         # Canonical order: U-side rows sorted by (u, v). Duplicate pairs are a
         # constructor error; merging belongs to from_edges / load_edge_list.
         order = np.lexsort((ev, eu))
         eu, ev, ew = eu[order], ev[order], ew[order]
-        pair_key = eu * self.v_count + ev
-        if (np.diff(pair_key) == 0).any():
+        if (np.diff(eu * len(v_labels) + ev) == 0).any():
             raise DataError("duplicate edge passed to constructor")
-        self.edge_count = int(eu.size)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(eu, minlength=len(u_labels)))))
+        self._finish(u_labels, v_labels, indptr, ev.astype(np.int32), ew)
 
-        self.deg_u = _frozen(np.bincount(eu, minlength=self.u_count))
-        self.deg_v = _frozen(np.bincount(ev, minlength=self.v_count))
+    def _finish(self, u_labels, v_labels, indptr, indices, weights):
+        """Check labels and weights, then derive the rest of the graph.
+
+        The U-side CSR must already be canonical: indptr runs from 0 to the
+        edge count without decreasing, and each row's indices are in range
+        and strictly increasing. Both `__init__` and `from_bytes` end here.
+        """
+        if not ((weights > 0) & (weights < np.inf)).all():
+            raise DataError("edge weights must be positive and finite")
+        self.u_count = len(u_labels)
+        self.v_count = len(v_labels)
+        self.edge_count = int(indices.size)
+        self.u_labels = u_labels
+        self.v_labels = v_labels
+        self.u_index = dict(zip(u_labels, range(self.u_count)))
+        self.v_index = dict(zip(v_labels, range(self.v_count)))
+        if len(self.u_index) != self.u_count or len(self.v_index) != self.v_count:
+            raise DataError("duplicate node label within one side")
+        if not self.u_index.keys().isdisjoint(self.v_index):
+            both = sorted(self.u_index.keys() & self.v_index.keys())
+            raise DataError(f"label appears on both sides: {both[0]!r}")
+
+        self.u_indptr = _frozen(indptr)
+        self.u_indices = _frozen(indices)
+        self.u_weights = _frozen(weights)
+        self.deg_u = _frozen(np.diff(indptr))
+        self.deg_v = _frozen(np.bincount(indices, minlength=self.v_count))
         if (self.deg_u == 0).any():
             i = int(np.flatnonzero(self.deg_u == 0)[0])
             raise DataError(f"isolated node on U side: {u_labels[i]!r}")
@@ -107,20 +122,28 @@ class BipartiteGraph:
             i = int(np.flatnonzero(self.deg_v == 0)[0])
             raise DataError(f"isolated node on V side: {v_labels[i]!r}")
 
-        self.u_indptr = _frozen(np.concatenate(([0], np.cumsum(self.deg_u))))
-        self.u_indices = _frozen(ev.astype(np.int32))
-        self.u_weights = _frozen(ew)
+        eu = np.repeat(np.arange(self.u_count), self.deg_u)
+        self.ws_u = _frozen(np.bincount(eu, weights=weights, minlength=self.u_count))
+        self.ws_v = _frozen(np.bincount(indices, weights=weights, minlength=self.v_count))
+        # The kernels divide weight sums by one another; a ratio that
+        # overflows would turn scores into NaN.
+        for side, ws in (("U", self.ws_u), ("V", self.ws_v)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                spread = ws.max() / ws.min()
+            if not np.isfinite(spread):
+                raise DataError(
+                    f"weight sums on the {side} side span too wide a range "
+                    f"({ws.min():g} to {ws.max():g}) to score in float64"
+                )
 
-        vorder = np.lexsort((eu, ev))
-        self.v_indptr = _frozen(np.concatenate(([0], np.cumsum(self.deg_v))))
-        self.v_indices = _frozen(eu[vorder].astype(np.int32))
-        self.v_weights = _frozen(ew[vorder])
-
-        self.ws_u = _frozen(np.bincount(eu, weights=ew, minlength=self.u_count))
-        self.ws_v = _frozen(np.bincount(ev, weights=ew, minlength=self.v_count))
-
-        self.u_index = {lab: i for i, lab in enumerate(u_labels)}
-        self.v_index = {lab: i for i, lab in enumerate(v_labels)}
+        # CSR -> CSC is a counting sort that keeps each column's rows in
+        # ascending order, so the V side comes out canonical too.
+        csc = sp.csr_matrix(
+            (weights, indices, indptr), shape=(self.u_count, self.v_count)
+        ).tocsc()
+        self.v_indptr = _frozen(csc.indptr.astype(np.int64))
+        self.v_indices = _frozen(csc.indices.astype(np.int32, copy=False))
+        self.v_weights = _frozen(csc.data)
 
     # -- construction helpers ------------------------------------------------
 
@@ -181,66 +204,85 @@ class BipartiteGraph:
     # -- serialization ---------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize into the stable binary cache format.
+        """Serialize into the stable binary cache format, version 2.
 
-        Layout (little endian): magic "BPGR", u32 version, u64 u_count,
-        u64 v_count, u64 edge_count, i64 u_indptr[u_count+1],
-        i32 u_indices[edge_count], f64 u_weights[edge_count], then one
-        length-prefixed (u32) UTF-8 label per U node followed by V nodes.
-        The V-side adjacency is rebuilt on load.
+        Layout (little endian): a 32-byte header of magic "BPGR", u32
+        version, u64 u_count, u64 v_count and u64 edge_count; then
+        f8 u_weights[edge_count], i8 u_indptr[u_count+1],
+        i8 label_offsets[u_count+v_count+1], i4 u_indices[edge_count], and
+        one UTF-8 blob holding the U labels then the V labels. Label i is
+        blob[label_offsets[i]:label_offsets[i+1]]. Every array starts at a
+        multiple of its item size, so `from_bytes` can view it in place.
+        Only the U side is stored; the V side is derived on load.
         """
-        out = io.BytesIO()
-        out.write(CACHE_MAGIC)
-        out.write(struct.pack("<I", CACHE_VERSION))
-        out.write(struct.pack("<QQQ", self.u_count, self.v_count, self.edge_count))
-        out.write(self.u_indptr.astype("<i8").tobytes())
-        out.write(self.u_indices.astype("<i4").tobytes())
-        out.write(self.u_weights.astype("<f8").tobytes())
-        for lab in self.u_labels:
-            b = lab.encode("utf-8")
-            out.write(struct.pack("<I", len(b)))
-            out.write(b)
-        for lab in self.v_labels:
-            b = lab.encode("utf-8")
-            out.write(struct.pack("<I", len(b)))
-            out.write(b)
-        return out.getvalue()
+        labels = [lab.encode("utf-8") for lab in (*self.u_labels, *self.v_labels)]
+        offsets = np.zeros(len(labels) + 1, dtype="<i8")
+        np.cumsum([len(b) for b in labels], out=offsets[1:])
+        return b"".join([
+            _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.u_count, self.v_count, self.edge_count),
+            self.u_weights.astype("<f8", copy=False),
+            self.u_indptr.astype("<i8", copy=False),
+            offsets,
+            self.u_indices.astype("<i4", copy=False),
+            *labels,
+        ])
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BipartiteGraph":
-        if len(buf) < 4 + 4 + 24 or buf[:4] != CACHE_MAGIC:
+        """Load a version-2 cache written by `to_bytes`.
+
+        The arrays are read-only views into `buf`, not copies. The cache is
+        trusted for nothing: every structural property the constructor would
+        establish (canonical row order, no duplicate pair, indices in range,
+        positive finite weights, distinct labels, no isolated node) is
+        checked in O(edges), and any violation raises DataError.
+        """
+        if len(buf) < _HEADER.size or buf[:4] != CACHE_MAGIC:
             raise DataError("not a graph cache file (bad magic)")
-        (version,) = struct.unpack_from("<I", buf, 4)
+        _, version, u_count, v_count, edge_count = _HEADER.unpack_from(buf)
         if version != CACHE_VERSION:
-            raise DataError(f"unsupported graph cache version: {version}")
-        u_count, v_count, edge_count = struct.unpack_from("<QQQ", buf, 8)
-        # Every count is bounded by the buffer before any slicing: the arrays
-        # and one 4-byte length prefix per label must fit.
-        if 32 + 8 * (u_count + 1) + 12 * edge_count + 4 * (u_count + v_count) > len(buf):
+            raise DataError(
+                f"graph cache version {version} is not supported (this build "
+                f"reads version {CACHE_VERSION}); rerun `bipush preprocess` to rebuild it"
+            )
+        # Every count is bounded by the buffer before any array is viewed.
+        w_at = _HEADER.size
+        p_at = w_at + 8 * edge_count
+        o_at = p_at + 8 * (u_count + 1)
+        i_at = o_at + 8 * (u_count + v_count + 1)
+        blob_at = i_at + 4 * edge_count
+        if blob_at > len(buf):
             raise DataError("graph cache header counts exceed the file size")
-        off = 32
-        indptr = np.frombuffer(buf, dtype="<i8", count=u_count + 1, offset=off).copy()
-        off += 8 * (u_count + 1)
-        indices = np.frombuffer(buf, dtype="<i4", count=edge_count, offset=off).copy()
-        off += 4 * edge_count
-        weights = np.frombuffer(buf, dtype="<f8", count=edge_count, offset=off).copy()
-        off += 8 * edge_count
-        labels = []
-        for _ in range(u_count + v_count):
-            if off + 4 > len(buf):
-                raise DataError("truncated graph cache label table")
-            (n,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            if off + n > len(buf):
-                raise DataError("truncated graph cache label table")
-            labels.append(buf[off : off + n].decode("utf-8"))
-            off += n
-        if off != len(buf):
-            raise DataError("trailing bytes after graph cache payload")
+        if edge_count == 0:
+            raise DataError("empty graph: at least one edge is required")
+        weights = np.frombuffer(buf, dtype="<f8", count=edge_count, offset=w_at)
+        indptr = np.frombuffer(buf, dtype="<i8", count=u_count + 1, offset=p_at)
+        offsets = np.frombuffer(buf, dtype="<i8", count=u_count + v_count + 1, offset=o_at)
+        indices = np.frombuffer(buf, dtype="<i4", count=edge_count, offset=i_at)
+
         if indptr[0] != 0 or indptr[-1] != edge_count or (np.diff(indptr) < 0).any():
             raise DataError("corrupt adjacency offsets in graph cache")
-        eu = np.repeat(np.arange(u_count, dtype=np.int64), np.diff(indptr))
-        return cls(labels[:u_count], labels[u_count:], eu, indices.astype(np.int64), weights)
+        if indices.min() < 0 or indices.max() >= v_count:
+            raise DataError("edge endpoint out of range in graph cache")
+        # Within a row indices must strictly increase; a step that does not
+        # is allowed only where a new row starts.
+        row_start = np.zeros(edge_count + 1, dtype=bool)
+        row_start[indptr] = True
+        if not ((np.diff(indices) > 0) | row_start[1:edge_count]).all():
+            raise DataError("graph cache rows are unsorted or repeat an edge")
+
+        blob = buf[blob_at:]
+        if offsets[0] != 0 or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any():
+            raise DataError("corrupt label offsets in graph cache")
+        bounds = offsets.tolist()
+        try:
+            labels = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"graph cache label is not valid UTF-8: {exc.reason}") from None
+
+        g = cls.__new__(cls)
+        g._finish(labels[:u_count], labels[u_count:], indptr, indices, weights)
+        return g
 
     def save(self, path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -275,23 +317,32 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
         default_weight: weight for two-column lines; must be positive.
 
     Raises:
-        DataError: on malformed lines, non-positive weights, labels used on
-            both sides, or an empty graph.
+        DataError: on an unreadable path, a line that is not valid UTF-8,
+            malformed lines, non-positive weights, labels used on both
+            sides, or an empty graph.
     """
     if default_weight is not None and not (
         np.isfinite(default_weight) and default_weight > 0
     ):
         raise DataError("default_weight must be positive and finite")
 
+    # Undecodable bytes become lone surrogates, which the loop reports with
+    # their line number; a decode error would only name a read-ahead chunk.
     if isinstance(source, (str, Path)):
-        fh = open(source, "r", encoding="utf-8")
+        name = str(source)
+        try:
+            fh = open(source, "r", encoding="utf-8", errors="surrogateescape")
+        except OSError as exc:
+            raise DataError(f"cannot read edge list {name!r}: {exc.strerror or exc}") from None
         close = True
     elif isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
         hasattr(source, "read") and isinstance(source.read(0), bytes)
     ):
-        fh = io.TextIOWrapper(source, encoding="utf-8")
+        name = getattr(source, "name", "edge list")
+        fh = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
         close = False
     else:
+        name = getattr(source, "name", "edge list")
         fh = source
         close = False
 
@@ -302,6 +353,11 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
     triples: list[tuple[int, int, float]] = []
     try:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"{name}: line {lineno}: not valid UTF-8") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,5 +1,6 @@
 """Two-direction query assembly, index metadata, and parameter pickers."""
 
+import importlib
 import json
 
 import numpy as np
@@ -197,6 +198,24 @@ class TestBhppQuery:
         )
         with pytest.raises(ValueError):
             bhpp_query(g, broken, 0, 1e-3)
+
+    def test_non_finite_scores_rejected(self, monkeypatch):
+        # the postcondition backs up the weight-range check in the graph;
+        # the package exports a function of the same name as this module
+        mod = importlib.import_module("bipush.bhpp_query")
+
+        real_pi_push = mod.pi_push
+
+        def nan_pi_push(*args, **kwargs):
+            out = real_pi_push(*args, **kwargs)
+            out.scores[1] = np.nan
+            return out
+
+        g = synth_bipartite(15, 15, 60, seed=16)
+        meta = build_index_meta(g)
+        monkeypatch.setattr(mod, "pi_push", nan_pi_push)
+        with pytest.raises(DataError, match="non-finite"):
+            bhpp_query(g, meta, 0, 1e-3)
 
     def test_round_hook_sees_both_phases(self):
         g = synth_bipartite(30, 30, 200, seed=15)

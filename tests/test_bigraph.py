@@ -1,6 +1,7 @@
 """Graph construction, serialization, parsing, and synthesis."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestConstruction:
         with pytest.raises(DataError):
             BipartiteGraph(["u1"], ["v1"], [1], [0], [1.0])
 
+    def test_rejects_unscorable_weight_range(self):
+        # weight sums 1e-300 and 1e300 on one side: their ratio overflows and
+        # the forward kernel would return NaN scores
+        with pytest.raises(DataError, match="range"):
+            BipartiteGraph(
+                ["a", "b", "c"], ["x", "y"], [0, 1, 1, 2], [0, 0, 1, 1],
+                [1e-300, 1.0, 1e300, 1.0],
+            )
+
     def test_edge_order_does_not_change_the_graph(self):
         rng = np.random.default_rng(5)
         g = random_bigraph(rng, 20, 15, 4.0)
@@ -102,6 +112,21 @@ class TestDerivedMatrices:
         np.testing.assert_allclose(
             g.v_recv.data, g.v_weights / g.ws_u[g.v_indices], atol=0
         )
+
+    def test_v_side_is_the_sorted_transpose(self):
+        # reference: the U-side edges re-sorted by (v, u)
+        rng = np.random.default_rng(15)
+        g = random_bigraph(rng, 30, 25, 4.0)
+        eu = np.repeat(np.arange(g.u_count), g.deg_u)
+        order = np.lexsort((eu, g.u_indices))
+        expect_indptr = np.concatenate(([0], np.cumsum(np.bincount(g.u_indices))))
+        for got, expect in (
+            (g.v_indptr, expect_indptr),
+            (g.v_indices, eu[order].astype(np.int32)),
+            (g.v_weights, g.u_weights[order]),
+        ):
+            assert got.dtype == expect.dtype
+            assert got.tobytes() == expect.tobytes()
 
     def test_matrices_reuse_the_graph_arrays(self):
         rng = np.random.default_rng(14)
@@ -179,6 +204,110 @@ class TestSerialization:
         g = random_bigraph(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), 2.0)
         assert BipartiteGraph.from_bytes(g.to_bytes()).fingerprint == g.fingerprint
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.text(max_size=4), min_size=4, max_size=24, unique=True),
+    )
+    def test_round_trip_is_exact(self, seed, names):
+        rng = np.random.default_rng(seed)
+        u_count = int(rng.integers(1, len(names)))
+        shape = random_bigraph(rng, u_count, len(names) - u_count, 3.0)
+        g = BipartiteGraph(
+            names[:u_count],
+            names[u_count:],
+            np.repeat(np.arange(shape.u_count), shape.deg_u),
+            shape.u_indices,
+            shape.u_weights,
+        )
+        buf = g.to_bytes()
+        h = BipartiteGraph.from_bytes(buf)
+        assert h.to_bytes() == buf
+        assert (h.u_labels, h.v_labels, h.u_index, h.v_index) == (
+            g.u_labels, g.v_labels, g.u_index, g.v_index,
+        )
+        for name in (
+            "u_indptr", "u_indices", "u_weights", "v_indptr", "v_indices",
+            "v_weights", "ws_u", "ws_v", "deg_u", "deg_v",
+        ):
+            a, b = getattr(h, name), getattr(g, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert h.u_recv.data.tobytes() == g.u_recv.data.tobytes()
+        assert h.v_recv.data.tobytes() == g.v_recv.data.tobytes()
+
+    def test_load_neither_sorts_nor_reconstructs(self, g3, monkeypatch):
+        buf = g3.to_bytes()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_bytes must not call this")
+
+        monkeypatch.setattr(BipartiteGraph, "__init__", refuse)
+        for name in ("sort", "argsort", "lexsort", "unique"):
+            monkeypatch.setattr(np, name, refuse)
+        assert BipartiteGraph.from_bytes(buf).fingerprint == g3.fingerprint
+
+    def test_v1_cache_asks_for_preprocess(self, g2):
+        buf = bytearray(g2.to_bytes())
+        buf[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(DataError, match="rerun `bipush preprocess`"):
+            BipartiteGraph.from_bytes(bytes(buf))
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"indices": [1, 0, 0, 1]},
+            {"indices": [0, 0, 0, 1]},
+            {"indices": [0, 1, -1, 1]},
+            {"indices": [0, 1, 0, 2]},
+            {"indptr": [0, 5, 4]},
+            {"weights": [1.0, float("nan"), 1.0, 1.0]},
+            {"weights": [1.0, 0.0, 1.0, 1.0]},
+            {"v_labels": ["v1", "v2", "v3"]},
+            {"offsets": [0, 2, 1, 6, 8]},
+            {"offsets": [0, 2, 4, 6, 9]},
+            {"offsets": [0, 2, 4, 9, 8]},
+            {"u_labels": ["u1", b"\xff\xfe"]},
+            {"u_labels": ["u1", "u1"]},
+            {"u_labels": ["v1", "u2"]},
+            {"version": 1},
+        ],
+        ids=[
+            "unsorted-row", "repeated-pair", "negative-index", "index-out-of-range",
+            "indptr-decreases", "nan-weight", "zero-weight", "isolated-v-node",
+            "offsets-decrease", "offsets-past-end", "offset-past-end-midway",
+            "invalid-utf8", "duplicate-label", "label-on-both-sides", "v1-header",
+        ],
+    )
+    def test_corrupt_v2_cache_rejected(self, override):
+        # a well-formed cache for u1-{v1,v2}, u2-{v1,v2} is accepted
+        BipartiteGraph.from_bytes(_v2_cache())
+        with pytest.raises(DataError):
+            BipartiteGraph.from_bytes(_v2_cache(**override))
+
+
+def _v2_cache(
+    u_labels=("u1", "u2"),
+    v_labels=("v1", "v2"),
+    indptr=(0, 2, 4),
+    indices=(0, 1, 0, 1),
+    weights=(1.0, 2.0, 3.0, 4.0),
+    offsets=None,
+    version=2,
+):
+    """A graph cache assembled field by field from the documented layout."""
+    labels = [x if isinstance(x, bytes) else x.encode() for x in (*u_labels, *v_labels)]
+    if offsets is None:
+        offsets = np.concatenate(([0], np.cumsum([len(b) for b in labels])))
+    return b"".join([
+        struct.pack("<4sIQQQ", b"BPGR", version, len(u_labels), len(v_labels), len(indices)),
+        np.asarray(weights, dtype="<f8").tobytes(),
+        np.asarray(indptr, dtype="<i8").tobytes(),
+        np.asarray(offsets, dtype="<i8").tobytes(),
+        np.asarray(indices, dtype="<i4").tobytes(),
+        *labels,
+    ])
+
 
 class TestEdgeListParsing:
     def test_parses_comments_and_blank_lines(self):
@@ -203,6 +332,20 @@ class TestEdgeListParsing:
     def test_label_on_both_sides_names_line(self):
         with pytest.raises(DataError, match="line 2"):
             load_edge_list(io.StringIO("a b 1.0\nb a 1.0\n"))
+
+    def test_duplicate_pairs_merge_by_summing(self):
+        g = load_edge_list(io.StringIO("a x 1.0\na x 2.0\nb x 1.0\n"))
+        assert g.edge_count == 2
+        assert g.ws_u[g.u_id("a")] == 3.0
+
+    def test_invalid_utf8_names_line(self):
+        with pytest.raises(DataError, match="line 2: not valid UTF-8"):
+            load_edge_list(io.BytesIO(b"a x 1.0\nb\xff x 1.0\n"))
+
+    def test_missing_path_is_data_error(self, tmp_path):
+        missing = tmp_path / "missing.tsv"
+        with pytest.raises(DataError, match="missing.tsv"):
+            load_edge_list(missing)
 
     def test_reads_path_and_binary_handle(self, tmp_path):
         p = tmp_path / "e.tsv"

@@ -247,6 +247,44 @@ class TestConfigAndErrors:
         assert code == EXIT_DATA
         assert "graph.bin" in err
 
+    def test_missing_graph_file_is_data_error(self, tmp_path):
+        code, out, err = run_cli(
+            "preprocess", "--graph", str(tmp_path / "missing.tsv"), "--out-dir", str(tmp_path / "i"),
+        )
+        assert code == EXIT_DATA
+        assert "missing.tsv" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_graph_line_is_data_error(self, tmp_path):
+        graph = tmp_path / "g.tsv"
+        graph.write_bytes(b"a\tx\t1.0\nb\xff\tx\t1.0\n")
+        code, out, err = run_cli("preprocess", "--graph", str(graph), "--out-dir", str(tmp_path / "i"))
+        assert code == EXIT_DATA
+        assert "line 2" in err
+        assert "Traceback" not in err
+
+    def test_unscorable_weight_range_is_data_error(self, tmp_path):
+        graph = tmp_path / "g.tsv"
+        graph.write_text("a\tx\t1e-300\nb\tx\t1.0\nb\ty\t1e300\nc\ty\t1.0\n")
+        code, out, err = run_cli("preprocess", "--graph", str(graph), "--out-dir", str(tmp_path / "i"))
+        assert code == EXIT_DATA
+        assert "range" in err
+        assert not (tmp_path / "i" / "graph.bin").exists()
+
+    def test_corrupt_cache_label_is_data_error(self, index_dir, tmp_path):
+        # the cache ends with the last V label; make its last byte invalid UTF-8
+        _, _, idx, _ = index_dir
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        buf = bytearray((idx / "graph.bin").read_bytes())
+        buf[-1] = 0xFF
+        (bad / "graph.bin").write_bytes(bytes(buf))
+        (bad / "meta.json").write_text((idx / "meta.json").read_text())
+        code, out, err = run_cli("topk", "--index", str(bad), "--query", "u0")
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "UTF-8" in err
+
     def test_bad_option_value_is_usage_error(self, index_dir):
         _, _, idx, _ = index_dir
         code, _, err = run_cli("query", "--index", str(idx), "--query", "u0", "--epsilon", "soup")
