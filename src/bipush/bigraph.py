@@ -285,7 +285,11 @@ class BipartiteGraph:
         return g
 
     def save(self, path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        """Write the cache and keep the sha256 of the written bytes as the
+        fingerprint, so a save needs no second serialization to hash."""
+        data = self.to_bytes()
+        Path(path).write_bytes(data)
+        self.__dict__.setdefault("fingerprint", hashlib.sha256(data).hexdigest())
 
     @classmethod
     def load(cls, path) -> "BipartiteGraph":
@@ -392,6 +396,8 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
     finally:
         if close:
             fh.close()
+        elif fh is not source:
+            fh.detach()  # else the wrapper's finalizer closes the caller's handle
 
     if not triples:
         raise DataError("empty graph: no data lines found")

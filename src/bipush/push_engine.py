@@ -30,7 +30,11 @@ reversibility of the two-hop chain: backward residues and estimates convert
 to forward ones through the weight-sum ratio ws(u_i)/ws(u), so it continues
 pushing the seed ledger under per-node thresholds ws(u)/ws(u_i) *
 eps_f/lambda, and on budget exhaustion finishes the transformed residues
-with power iterations.
+x with power iterations. The depth t is fixed before the loop so that the
+dropped tail (1-alpha)^(t+1) * min(sum x, ws_max * max_j x_j / ws_j) is at
+most eps_f: the first factor is the L1 bound, the second holds because the
+two-hop chain is reversible with respect to ws (ws_i P_ij = ws_j P_ji), so
+max_j (x P^l)_j / ws_j never grows with l.
 
 Cost model: every push adds the pushed node's degree to n_p, and the
 kernels' actual work is proportional to n_p. Rounds run over the whole
@@ -186,8 +190,12 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
     Continues pushing the seed ledger (mutating it) under per-node residue
     thresholds ws(u)/ws(u_i) * epsilon_f / lam. On threshold exit the forward
     scores are the transformed estimates ws(u_i)/ws(u) * estimate(u_i); on
-    budget exhaustion the still-transformed residues are finished with power
-    iterations deep enough to keep the dropped tail under epsilon_f.
+    budget exhaustion the still-transformed residues x are finished with
+    power iterations. Their depth is required_iterations(alpha, epsilon_f,
+    min(sum x, ws_max * max_j x_j / ws_j)): the second bound holds entrywise
+    for every term of the series because the walk is reversible. The trace's
+    power_tail_bound is the resulting certified tail (1-alpha)^(t+1) * that
+    minimum, at most epsilon_f, and 0.0 on threshold exit.
 
     lam must upper-bound every column sum of the hidden walk-score matrix for
     the epsilon_f guarantee (0 <= true - score <= epsilon_f) to hold.
@@ -220,15 +228,22 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
 
     sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
     power_iters = 0
+    tail_bound = 0.0
     scores = w_ratio * led.estimate
     if not met:
         fwd_residue = w_ratio * led.residue_u
-        power_iters = required_iterations(alpha, epsilon_f, float(fwd_residue.sum()))
+        # Entrywise, term l is at most (1-alpha)^l * mass and, as the walk is
+        # reversible, at most (1-alpha)^l * ws_max * max_j fwd_residue_j / ws_j.
+        spread = float(ws.max() * led.residue_u.max() / ws[source_u])
+        bound = min(float(fwd_residue.sum()), spread)
+        power_iters = required_iterations(alpha, epsilon_f, bound)
+        tail_bound = (1.0 - alpha) ** (power_iters + 1) * bound
         scores = scores + power_iteration(g, fwd_residue, alpha, power_iters)
     trace = {
         "selective_rounds": sel_rounds,
         "sequential_rounds": 0,
         "power_iterations": power_iters,
+        "power_tail_bound": tail_bound,
         "n_p": led.n_p,
         "gamma": gamma,
     }

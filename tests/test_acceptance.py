@@ -85,6 +85,7 @@ def test_criterion_01_two_way_scores_within_epsilon(corpus, query_rng):
             worst_hi = max(worst_hi, float(diff.max()) / eps)
             assert diff.min() >= -1e-9
             assert diff.max() <= eps
+            assert res.phase_trace["forward"]["power_tail_bound"] <= res.epsilon_f
     print(
         f"criterion 1 PASS: {CORPUS_SIZE} graphs x {len(EPSILONS)} epsilons, "
         f"undershoot floor {worst_lo:.2e}, worst error {worst_hi:.1%} of eps"
@@ -117,6 +118,7 @@ def test_criterion_03_forward_scores_within_eps_f(corpus, query_rng):
             worst = max(worst, float(diff.max()) / eps_f)
             assert diff.min() >= -1e-9
             assert diff.max() <= eps_f
+            assert out.phase_trace["power_tail_bound"] <= eps_f
     print(f"criterion 3 PASS: forward error at most {worst:.1%} of eps_f")
 
 

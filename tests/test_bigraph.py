@@ -1,5 +1,6 @@
 """Graph construction, serialization, parsing, and synthesis."""
 
+import gc
 import io
 import struct
 
@@ -341,6 +342,12 @@ class TestEdgeListParsing:
     def test_invalid_utf8_names_line(self):
         with pytest.raises(DataError, match="line 2: not valid UTF-8"):
             load_edge_list(io.BytesIO(b"a x 1.0\nb\xff x 1.0\n"))
+
+    def test_binary_handle_stays_open(self):
+        fh = io.BytesIO(b"a x 1.0\nb x 2.0\n")
+        load_edge_list(fh)
+        gc.collect()
+        assert not fh.closed
 
     def test_missing_path_is_data_error(self, tmp_path):
         missing = tmp_path / "missing.tsv"

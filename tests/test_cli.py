@@ -1,10 +1,12 @@
 """Command-line surface: round trips, encodings, config merge, exit codes."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
+from bipush import BipartiteGraph
 from bipush.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -81,6 +83,25 @@ class TestSynthPreprocess:
         facts = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert int(facts["u_count"]) <= 40
 
+    def test_preprocess_serializes_once(self, index_dir, tmp_path, monkeypatch):
+        # one serialization is both hashed for the fingerprint and written
+        _, graph, _, _ = index_dir
+        real = BipartiteGraph.to_bytes
+        calls = []
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(BipartiteGraph, "to_bytes", counted)
+        out_dir = tmp_path / "idx"
+        code, _, err = run_cli("preprocess", "--graph", str(graph), "--out-dir", str(out_dir))
+        assert code == EXIT_OK, err
+        assert len(calls) == 1
+        meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256((out_dir / "graph.bin").read_bytes()).hexdigest()
+        assert meta["graph_fingerprint"] == digest
+
 
 class TestQueryTopk:
     def test_query_emits_ranked_pairs(self, index_dir):
@@ -116,6 +137,7 @@ class TestQueryTopk:
         trace = json.loads(err)
         assert trace["method"] == "ssbipush"
         assert "phase_trace" in trace and "timing" in trace
+        assert 0.0 <= trace["phase_trace"]["forward"]["power_tail_bound"] <= trace["epsilon_f"]
 
     def test_methods_agree_through_cli(self, index_dir):
         _, _, idx, _ = index_dir
@@ -175,6 +197,40 @@ class TestBench:
         rows = [json.loads(ln) for ln in out.strip().splitlines()]
         assert rows[0]["excluded"] is True
         assert rows[0]["mean_s"] is None
+
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_timeout_is_wall_clock_on_both_paths(self, index_dir, threads):
+        _, _, idx, _ = index_dir
+        args = ("bench", "--index", str(idx), "--methods", "ssbipush,pisp",
+                "--epsilons", "1e-3", "--queries", "4", "--threads", threads)
+        code, out, _ = run_cli(*args, "--timeout", "1e-9")
+        assert code == EXIT_TIMEOUT
+        assert all(r["excluded"] for r in parse_tsv(out) if r["kind"] == "timing")
+        code, out, err = run_cli(*args, "--timeout", "3600")
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_exclusion_ignores_reported_query_times(self, index_dir, threads, monkeypatch):
+        # Queries that report a huge time but finish fast stay within a
+        # wall-clock budget; summing reported times would exclude them.
+        import bipush.cli as cli
+
+        real = cli.bhpp_query
+
+        def slow_on_paper(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.timing["total"] = 1e6
+            return res
+
+        monkeypatch.setattr(cli, "bhpp_query", slow_on_paper)
+        _, _, idx, _ = index_dir
+        code, out, err = run_cli(
+            "bench", "--index", str(idx), "--methods", "ssbipush", "--epsilons", "1e-3",
+            "--queries", "4", "--threads", threads, "--timeout", "60",
+        )
+        assert code == EXIT_OK, err
+        assert parse_tsv(out)[0]["excluded"] is False
 
 
 class TestEvalCommands:

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import bipush.push_engine as pe
 from bipush import (
+    BipartiteGraph,
     ResidueLedger,
     exact_hpp,
+    exact_hpp_solve,
     pi_push,
     power_iteration,
     required_iterations,
@@ -268,6 +270,64 @@ class TestPiPush:
         diff = ref.pi[src, :] - out.scores
         assert diff.min() >= -1e-11
         assert diff.max() <= eps_f + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["random", "wide-weights", "hub"]),
+        st.sampled_from([1e-4, 1e-7, 1e-10]),
+        st.booleans(),
+    )
+    def test_certified_depth_keeps_guarantee(self, seed, shape, eps_f, seeded):
+        # The power-iteration depth comes from the reversible-walk bound when
+        # it beats the residue mass; either way the forward scores stay
+        # within eps_f below the truth, and the depth never exceeds the one
+        # the mass alone asks for.
+        rng = np.random.default_rng(seed)
+        if shape == "hub":
+            g = hub_graph(int(rng.integers(3, 40)))
+        else:
+            g = random_bigraph(rng, int(rng.integers(3, 30)), int(rng.integers(3, 30)),
+                               float(rng.uniform(1.5, 6.0)))
+        if shape == "wide-weights":
+            # per-edge weights spread over six decades
+            w = g.u_weights * np.exp(rng.uniform(0.0, np.log(1e6), g.edge_count))
+            g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u),
+                               g.u_indices, w)
+        src = int(rng.integers(0, g.u_count))
+        lam = float(g.ws_u.max() / g.ws_u.min())
+        led = self._seeded(g, src, eps_f) if seeded else ResidueLedger.initial(g, src)
+        out = pi_push(g, src, ALPHA, lam, eps_f, led)
+        diff = exact_hpp_solve(g, ALPHA)[src] - out.scores
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps_f + 1e-12
+        trace = out.phase_trace
+        if out.terminated_by == "budget-switch":
+            mass = float((g.ws_u / g.ws_u[src] * out.ledger.residue_u).sum())
+            assert trace["power_iterations"] <= required_iterations(ALPHA, eps_f, mass)
+            assert 0.0 <= trace["power_tail_bound"] <= eps_f
+        else:
+            assert trace["power_iterations"] == 0
+            assert trace["power_tail_bound"] == 0.0
+
+    def test_certified_depth_below_mass_depth(self):
+        # On a uniform graph the reversible-walk bound certifies the tail in
+        # a few iterations where the residue mass would ask for over 40.
+        g = synth_bipartite(2000, 2000, 40000, (0.0, 10.0), seed=7)
+        lam = float(g.ws_u.max() / g.ws_u.min())
+        src, eps_f = 0, 5e-6
+        out = pi_push(g, src, ALPHA, lam, eps_f, self._seeded(g, src, 5e-6))
+        assert out.terminated_by == "budget-switch"
+        mass = float((g.ws_u / g.ws_u[src] * out.ledger.residue_u).sum())
+        depth = out.phase_trace["power_iterations"]
+        assert depth < required_iterations(ALPHA, eps_f, mass)
+        assert out.phase_trace["power_tail_bound"] <= eps_f
+        # 300 terms leave a tail under 0.85^301 < 1e-20
+        start = np.zeros(g.u_count)
+        start[src] = 1.0
+        diff = power_iteration(g, start, ALPHA, 300) - out.scores
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps_f
 
     def test_backward_estimates_keep_growing(self):
         # forward pushes still credit alpha-fractions to the same ledger
