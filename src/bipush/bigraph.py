@@ -7,14 +7,15 @@ weight, lands on a V-node, and immediately hops back to U the same way. The
 resulting one-side transition matrix over U (each entry a sum over shared
 neighbors) is never materialized.
 
-Every kernel runs on two receiver-normalized matrices, one per side, that
-reuse the side's CSR arrays: `u_recv` (|U|x|V|, entry w(u, v) / ws(v)) and
-`v_recv` (|V|x|U|, entry w(u, v) / ws(u)). `v_recv @ x` carries a
-distribution x on U one hop to V and `u_recv @ y` carries y on V back to U;
-their transposes are the row-stochastic step matrices U->V and V->U.
+Every kernel runs on two raw-weight matrices, one per side, that share the
+side's CSR arrays: `u_adj` (|U|x|V|) and `v_adj` (|V|x|U|), both with entry
+w(u, v). No normalized copy of the weights is stored; the kernels divide by
+the receivers' weight sums when they push. `v_adj @ (x / ws_u)` carries a
+distribution x on U one hop to V and `u_adj @ (y / ws_v)` carries y on V
+back to U.
 
-Graphs are immutable after construction: the backing arrays are marked
-read-only and derived views are cached.
+Graphs are immutable after construction: every array is built eagerly and
+marked read-only. Only the fingerprint is computed on first use.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def _frozen(a):
     return a
 
 
-def _recv(data, indices, indptr, shape) -> sp.csr_matrix:
-    # copy=False keeps the graph's own int32 indices as the matrix's indices.
-    return sp.csr_matrix((_frozen(data), indices, indptr), shape=shape, copy=False)
-
-
 class BipartiteGraph:
     """Immutable weighted bipartite graph in CSR form for both sides.
 
@@ -60,8 +56,8 @@ class BipartiteGraph:
         v_indptr, v_indices, v_weights: V-side CSR (neighbors are U indices).
         ws_u, ws_v: per-node incident weight sums (always positive).
         deg_u, deg_v: per-node neighbor counts (always at least 1).
-        u_recv, v_recv: the two receiver-normalized transition matrices,
-            built on first use over the U-side and V-side CSR arrays.
+        u_adj, v_adj: raw-weight CSR matrices (|U|x|V| and |V|x|U|) that
+            share the U-side and V-side arrays; built eagerly.
     """
 
     def __init__(self, u_labels, v_labels, edge_u, edge_v, edge_w):
@@ -144,6 +140,11 @@ class BipartiteGraph:
         self.v_indptr = _frozen(csc.indptr.astype(np.int64))
         self.v_indices = _frozen(csc.indices.astype(np.int32, copy=False))
         self.v_weights = _frozen(csc.data)
+        # copy=False shares the graph's own weights and int32 indices.
+        self.u_adj = sp.csr_matrix((self.u_weights, self.u_indices, self.u_indptr),
+                                   shape=(self.u_count, self.v_count), copy=False)
+        self.v_adj = sp.csr_matrix((self.v_weights, self.v_indices, self.v_indptr),
+                                   shape=(self.v_count, self.u_count), copy=False)
 
     # -- construction helpers ------------------------------------------------
 
@@ -177,29 +178,6 @@ class BipartiteGraph:
             return self.v_index[label]
         except KeyError:
             raise DataError(f"unknown V-side label: {label!r}") from None
-
-    # -- receiver-normalized transition structure ------------------------------
-
-    @cached_property
-    def u_recv(self) -> sp.csr_matrix:
-        """|U|x|V| CSR on the U-side arrays, entry w(u, v) / ws(v).
-
-        Row u holds the share of each neighbor's weight sum that u supplies,
-        so `u_recv @ y` moves a distribution y on V one hop to U, and its
-        transpose is the row-stochastic V-to-U step matrix.
-        """
-        return _recv(self.u_weights / self.ws_v[self.u_indices], self.u_indices,
-                     self.u_indptr, (self.u_count, self.v_count))
-
-    @cached_property
-    def v_recv(self) -> sp.csr_matrix:
-        """|V|x|U| CSR on the V-side arrays, entry w(u, v) / ws(u).
-
-        `v_recv @ x` moves a distribution x on U one hop to V; its transpose
-        is the row-stochastic U-to-V step matrix.
-        """
-        return _recv(self.v_weights / self.ws_u[self.v_indices], self.v_indices,
-                     self.v_indptr, (self.v_count, self.u_count))
 
     # -- serialization ---------------------------------------------------------
 
@@ -282,6 +260,7 @@ class BipartiteGraph:
 
         g = cls.__new__(cls)
         g._finish(labels[:u_count], labels[u_count:], indptr, indices, weights)
+        g._cache_bytes = buf  # the views keep it alive anyway; fingerprint hashes it
         return g
 
     def save(self, path) -> None:
@@ -297,8 +276,13 @@ class BipartiteGraph:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Hex sha256 of the canonical serialization."""
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        """Hex sha256 of the canonical serialization.
+
+        A graph from `from_bytes` hashes the buffer it was loaded from, which
+        equals `to_bytes()` for every cache `from_bytes` accepts.
+        """
+        data = getattr(self, "_cache_bytes", None)
+        return hashlib.sha256(self.to_bytes() if data is None else data).hexdigest()
 
     def __repr__(self):
         return (

@@ -259,8 +259,8 @@ def naive_ppr_rows(g: BipartiteGraph, alpha: float = 0.15, depth: int = 20):
         on_u = base.copy()
         on_v = np.zeros(g.v_count)
         for _ in range(depth):
-            new_v = (1.0 - alpha) * (g.v_recv @ on_u)
-            on_u = base + (1.0 - alpha) * (g.u_recv @ on_v)
+            new_v = (1.0 - alpha) * (g.v_adj @ (on_u / g.ws_u))
+            on_u = base + (1.0 - alpha) * (g.u_adj @ (on_v / g.ws_v))
             on_v = new_v
         return alpha * on_u
 
@@ -326,11 +326,6 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _prewarm(g: BipartiteGraph) -> None:
-    # Materialize cached derived matrices before fanning out to threads.
-    g.u_recv, g.v_recv
-
-
 def qr_ndcg_eval(
     g: BipartiteGraph,
     holdout_ratio: float = 0.2,
@@ -346,7 +341,6 @@ def qr_ndcg_eval(
     """Query-rewriting study: rank other queries by train-graph similarity,
     judge against full-graph desirability, report NDCG@k per method."""
     split = split_edges(g, holdout_ratio, seed, side="u", negatives=0)
-    _prewarm(split.train)
     rng = substream(seed, "qr-queries")
     n = min(n_queries, g.u_count)
     queries = rng.choice(g.u_count, size=n, replace=False)
@@ -403,7 +397,6 @@ def rec_eval(
     """Item-recommendation study: per user, rank held-out positives among
     sampled non-edges by predicted score; report precision/recall@k."""
     split = split_edges(g, holdout_ratio, seed, side="v", negatives=negatives)
-    _prewarm(split.train)
     users = sorted(split.candidates)
     rng = substream(seed, "rec-users")
     if len(users) > n_users:

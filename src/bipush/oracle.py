@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bigraph import BipartiteGraph, DataError
 
@@ -24,6 +25,14 @@ class DenseHpp:
     pi: np.ndarray
     alpha: float
     bound: float
+
+
+def _transition(g: BipartiteGraph) -> np.ndarray:
+    """Dense U-to-U transition diag(1/ws_u) U_raw diag(1/ws_v) V_raw: the
+    U->V step times the V->U step, built from the raw weights alone."""
+    u_step = sp.diags(1.0 / g.ws_u) @ g.u_adj
+    v_step = sp.diags(1.0 / g.ws_v) @ g.v_adj
+    return (u_step @ v_step).toarray()
 
 
 def exact_hpp(g: BipartiteGraph, alpha: float, tol: float = 1e-12, cap: int = 2000) -> DenseHpp:
@@ -41,8 +50,7 @@ def exact_hpp(g: BipartiteGraph, alpha: float, tol: float = 1e-12, cap: int = 20
         raise DataError(
             f"graph too wide for the dense reference: {g.u_count} > cap={cap}"
         )
-    # U->V step times V->U step.
-    P = (g.v_recv.T @ g.u_recv.T).toarray()
+    P = _transition(g)
     A = (1.0 - alpha) * P
     S = np.eye(g.u_count)
     M = A.copy()
@@ -59,7 +67,7 @@ def exact_hpp_solve(g: BipartiteGraph, alpha: float, cap: int = 2000) -> np.ndar
 
     Row i solves pi_i = alpha e_i + (1-alpha) pi_i P, i.e.
     Pi = alpha (I - (1-alpha) P)^{-1}. No shared code with exact_hpp beyond
-    the transition factors.
+    the transition matrix.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -67,7 +75,7 @@ def exact_hpp_solve(g: BipartiteGraph, alpha: float, cap: int = 2000) -> np.ndar
         raise DataError(
             f"graph too wide for the dense reference: {g.u_count} > cap={cap}"
         )
-    P = (g.v_recv.T @ g.u_recv.T).toarray()
+    P = _transition(g)
     n = g.u_count
     system = np.eye(n) - (1.0 - alpha) * P
     # Pi @ system = alpha I  =>  system^T @ Pi^T = alpha I.

@@ -14,10 +14,11 @@ mid-hop. The conservation law
 holds at every round boundary (V residues zero) and is what the tests probe.
 
 Both halves of a round are one primitive, `_push_rows`: add scale times the
-given rows of a receiver-normalized matrix (g.u_recv for the U half, g.v_recv
-for the V half), weighted by the pushed residues, into the other side's
-residues. It scatters slot by slot while the pushed rows are a small share of
-the edges and otherwise runs one sparse mat-vec with the matrix's transpose.
+given rows of a raw-weight matrix (g.u_adj for the U half, g.v_adj for the V
+half), weighted by the pushed residues, into the other side's residues,
+dividing each receiver's total by its weight sum (g.ws_v, g.ws_u). It
+scatters slot by slot while the pushed rows are a small share of the edges
+and otherwise runs one sparse mat-vec with the matrix's transpose.
 
 Every kernel runs the same loop of thresholded rounds, `_rounds`, which stops
 when no U residue exceeds its threshold or when the kernel's budget rule
@@ -114,7 +115,8 @@ def power_iteration(g, start: np.ndarray, alpha: float, t: int) -> np.ndarray:
     """Truncated restart-walk series from the start distribution.
 
     Returns alpha * sum_{l=0..t} (1-alpha)^l start P^l without forming P:
-    each term routes through the V side via the two transition factors.
+    each term routes through the V side over the raw-weight matrices,
+    dividing by the sending side's weight sums at each hop.
     """
     _check_alpha(alpha)
     if t < 0:
@@ -124,8 +126,8 @@ def power_iteration(g, start: np.ndarray, alpha: float, t: int) -> np.ndarray:
         raise ValueError("start vector length must match the U side")
     acc = base.copy()
     for _ in range(int(t)):
-        mid = g.v_recv @ acc
-        acc = base + (1.0 - alpha) * (g.u_recv @ mid)
+        mid = g.v_adj @ (acc / g.ws_u)
+        acc = base + (1.0 - alpha) * (g.u_adj @ (mid / g.ws_v))
     return alpha * acc
 
 
@@ -289,28 +291,29 @@ def _round(g, led: ResidueLedger, threshold, alpha: float) -> int:
     uidx = led.active_u(threshold)
     if uidx.size:
         amounts = led.residue_u[uidx]
-        led.n_p += _push_rows(g.u_recv, g.deg_u, uidx, amounts, led.residue_v, 1.0 - alpha)
+        led.n_p += _push_rows(g.u_adj, g.deg_u, uidx, amounts, led.residue_v, 1.0 - alpha, g.ws_v)
         led.estimate[uidx] += alpha * amounts
         led.residue_u[uidx] = 0.0
         worked = 1
     vidx = led.active_v()
     if vidx.size:
-        led.n_p += _push_rows(g.v_recv, g.deg_v, vidx, led.residue_v[vidx], led.residue_u, 1.0)
+        led.n_p += _push_rows(g.v_adj, g.deg_v, vidx, led.residue_v[vidx], led.residue_u, 1.0, g.ws_u)
         led.residue_v[:] = 0.0
         worked = 1
     return worked
 
 
-def _push_rows(mat, deg, rows, amounts, out, scale: float) -> int:
-    """out += scale * sum_k amounts[k] * mat[rows[k], :]; returns the degree
-    sum of the pushed rows (their n_p)."""
+def _push_rows(mat, deg, rows, amounts, out, scale: float, ws) -> int:
+    """out += scale * (sum_k amounts[k] * mat[rows[k], :]) / ws, with ws the
+    receivers' weight sums; returns the degree sum of the pushed rows (their
+    n_p)."""
     deg_sum = int(deg[rows].sum())
     if deg_sum <= _SCATTER_LIMIT * mat.nnz:
         slots = _row_slots(mat.indptr, rows, deg)
         contrib = scale * mat.data[slots] * np.repeat(amounts, deg[rows])
-        out += np.bincount(mat.indices[slots], weights=contrib, minlength=out.size)
+        out += np.bincount(mat.indices[slots], weights=contrib, minlength=out.size) / ws
     else:
         dense = np.zeros(mat.shape[0])
         dense[rows] = amounts
-        out += scale * (mat.T @ dense)
+        out += scale * (mat.T @ dense) / ws
     return deg_sum

@@ -2,11 +2,14 @@
 
 import importlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from bipush import (
+    BipartiteGraph,
     DataError,
     IndexMeta,
     bhpp_query,
@@ -224,6 +227,33 @@ class TestBhppQuery:
         bhpp_query(g, meta, 0, 1e-5, round_hook=lambda ph, r, led: phases.add(ph))
         assert "selective" in phases or "sequential" in phases
         assert any(ph.startswith("forward") for ph in phases)
+
+    def test_threaded_queries_match_serial(self):
+        # four threads share one cold graph: nothing is built lazily on the
+        # kernel path, so their results equal a serial run's bit for bit
+        buf = synth_bipartite(400, 300, 4000, (0, 10), degree_skew=1.0, seed=8).to_bytes()
+        meta = build_index_meta(BipartiteGraph.from_bytes(buf))
+        sources = list(range(0, 400, 25))
+
+        def run(g, source):
+            r = bhpp_query(g, meta, source, 1e-4)
+            return r.scores, r.phase_trace
+
+        serial_graph = BipartiteGraph.from_bytes(buf)
+        serial = [run(serial_graph, s) for s in sources]
+        g = BipartiteGraph.from_bytes(buf)
+        keys = set(vars(g))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda s: run(g, s), sources, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(vars(g)) - keys <= {"fingerprint"}
+        for (s1, t1), (s2, t2) in zip(serial, threaded):
+            assert s1.tobytes() == s2.tobytes()
+            assert t1 == t2
 
 
 class TestTopk:

@@ -1,16 +1,21 @@
 """Graph construction, serialization, parsing, and synthesis."""
 
 import gc
+import hashlib
 import io
 import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import bipush.push_engine as pe
 from bipush import (
     BipartiteGraph,
     DataError,
+    bhpp_query,
+    build_index_meta,
     hidden_transition_entry,
     k_core_filter,
     load_edge_list,
@@ -100,19 +105,24 @@ class TestDerivedMatrices:
     def test_steps_are_row_stochastic(self):
         rng = np.random.default_rng(11)
         g = random_bigraph(rng, 40, 30, 5.0)
-        np.testing.assert_allclose(g.v_recv.T.sum(axis=1).A1, 1.0, atol=1e-12)
-        np.testing.assert_allclose(g.u_recv.T.sum(axis=1).A1, 1.0, atol=1e-12)
+        np.testing.assert_allclose(g.u_adj.sum(axis=1).A1 / g.ws_u, 1.0, atol=1e-12)
+        np.testing.assert_allclose(g.v_adj.sum(axis=1).A1 / g.ws_v, 1.0, atol=1e-12)
 
-    def test_receiver_normalized_slots(self):
+    def test_receiver_normalized_slots(self, monkeypatch):
+        # pushing unit mass from one row hands each receiver its share
+        # w / ws(receiver) of that edge, on both push paths
         rng = np.random.default_rng(12)
         g = random_bigraph(rng, 25, 20, 4.0)
-        # u_recv.data[slot] is the V-side receiving share w / ws(v) for that edge
-        np.testing.assert_allclose(
-            g.u_recv.data, g.u_weights / g.ws_v[g.u_indices], atol=0
-        )
-        np.testing.assert_allclose(
-            g.v_recv.data, g.v_weights / g.ws_u[g.v_indices], atol=0
-        )
+        for limit in (10.0, -1.0):  # always scatter, always mat-vec
+            monkeypatch.setattr(pe, "_SCATTER_LIMIT", limit)
+            for mat, deg, ws in ((g.u_adj, g.deg_u, g.ws_v), (g.v_adj, g.deg_v, g.ws_u)):
+                for row in range(mat.shape[0]):
+                    out = np.zeros(mat.shape[1])
+                    pe._push_rows(mat, deg, np.array([row]), np.array([1.0]), out, 1.0, ws)
+                    nbrs = mat.indices[mat.indptr[row] : mat.indptr[row + 1]]
+                    expect = np.zeros(mat.shape[1])
+                    expect[nbrs] = mat.data[mat.indptr[row] : mat.indptr[row + 1]] / ws[nbrs]
+                    np.testing.assert_allclose(out, expect, atol=0)
 
     def test_v_side_is_the_sorted_transpose(self):
         # reference: the U-side edges re-sorted by (v, u)
@@ -132,13 +142,41 @@ class TestDerivedMatrices:
     def test_matrices_reuse_the_graph_arrays(self):
         rng = np.random.default_rng(14)
         g = random_bigraph(rng, 25, 20, 4.0)
-        assert np.shares_memory(g.u_recv.indices, g.u_indices)
-        assert np.shares_memory(g.v_recv.indices, g.v_indices)
-        np.testing.assert_array_equal(g.u_recv.indptr, g.u_indptr)
-        np.testing.assert_array_equal(g.v_recv.indptr, g.v_indptr)
+        assert np.shares_memory(g.u_adj.data, g.u_weights)
+        assert np.shares_memory(g.v_adj.data, g.v_weights)
+        assert np.shares_memory(g.u_adj.indices, g.u_indices)
+        assert np.shares_memory(g.v_adj.indices, g.v_indices)
+        np.testing.assert_array_equal(g.u_adj.indptr, g.u_indptr)
+        np.testing.assert_array_equal(g.v_adj.indptr, g.v_indptr)
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_only_two_edge_length_float_buffers(self, loaded):
+        # the weights are stored once per side; no query adds a normalized copy
+        rng = np.random.default_rng(16)
+        g = random_bigraph(rng, 30, 25, 4.0)
+        if loaded:
+            g = BipartiteGraph.from_bytes(g.to_bytes())
+        bhpp_query(g, build_index_meta(g), 0, 1e-4)
+
+        def root(a):
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            return a
+
+        arrays = [
+            a for value in vars(g).values()
+            for a in ((value.data, value.indices, value.indptr) if sp.issparse(value) else (value,))
+        ]
+        buffers = {
+            id(root(a)) for a in arrays
+            if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.size == g.edge_count
+        }
+        assert buffers == {id(root(g.u_weights)), id(root(g.v_weights))}
 
     def test_hidden_transition_matches_dense_product(self, g3):
-        dense = (g3.v_recv.T @ g3.u_recv.T).toarray()
+        u_step = g3.u_adj.toarray() / g3.ws_u[:, None]
+        v_step = g3.v_adj.toarray() / g3.ws_v[:, None]
+        dense = u_step @ v_step
         expect = np.array([[0.75, 0.25], [0.5, 0.5]])
         np.testing.assert_allclose(dense, expect, atol=1e-15)
         for i in range(2):
@@ -234,8 +272,20 @@ class TestSerialization:
             a, b = getattr(h, name), getattr(g, name)
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
-        assert h.u_recv.data.tobytes() == g.u_recv.data.tobytes()
-        assert h.v_recv.data.tobytes() == g.v_recv.data.tobytes()
+
+    def test_fingerprint_hashes_the_loaded_bytes(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(22)
+        path = tmp_path / "g.bin"
+        random_bigraph(rng, 30, 25, 4.0).save(path)
+        buf = path.read_bytes()
+
+        def refuse(self):
+            raise AssertionError("a loaded graph must not re-serialize to hash")
+
+        monkeypatch.setattr(BipartiteGraph, "to_bytes", refuse)
+        digest = hashlib.sha256(buf).hexdigest()
+        assert BipartiteGraph.load(path).fingerprint == digest
+        assert BipartiteGraph.from_bytes(buf).fingerprint == digest
 
     def test_load_neither_sorts_nor_reconstructs(self, g3, monkeypatch):
         buf = g3.to_bytes()
