@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bhpp_query import QueryResult
+from .bhpp_query import QueryResult, resolve_query
 from .bigraph import BipartiteGraph
 from .push_engine import power_iteration, required_iterations, selective_push
 from .rng import substream
@@ -168,7 +168,7 @@ def mcsp_query(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    q = g.u_id(query_u) if isinstance(query_u, str) else int(query_u)
+    q = resolve_query(g, query_u)
     half = epsilon / 2.0
     t0 = time.perf_counter()
     fwd = monte_carlo(g, alias, q, alpha, half, p_f, seed, deadline=deadline)
@@ -198,7 +198,7 @@ def pisp_query(g: BipartiteGraph, query_u, alpha: float, epsilon: float) -> Quer
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    q = g.u_id(query_u) if isinstance(query_u, str) else int(query_u)
+    q = resolve_query(g, query_u)
     half = epsilon / 2.0
     depth = required_iterations(alpha, half, 1.0)
     start = np.zeros(g.u_count)

@@ -167,6 +167,15 @@ def load_meta(path) -> IndexMeta:
     return IndexMeta(**fields)
 
 
+def resolve_query(g: BipartiteGraph, query_u) -> int:
+    """U index of a query given as a label or an index. Raises DataError for
+    an unknown label, ValueError for an index outside [0, |U|)."""
+    q = g.u_id(query_u) if isinstance(query_u, str) else int(query_u)
+    if not 0 <= q < g.u_count:
+        raise ValueError(f"node index {q} out of range")
+    return q
+
+
 def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, round_hook=None) -> QueryResult:
     """Two-way scores for every U node, accurate to epsilon entrywise.
 
@@ -177,7 +186,7 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     meta.check_graph(g)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    q = g.u_id(query_u) if isinstance(query_u, str) else int(query_u)
+    q = resolve_query(g, query_u)
     eps_b = float(meta.eps_split_policy(epsilon))
     eps_f = epsilon - eps_b
     if eps_b <= 0 or eps_f <= 0:

@@ -18,7 +18,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -55,20 +54,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Merged options for one invocation."""
-
-    command: str
-    values: dict = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
 def _bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -93,17 +78,28 @@ def _strs(text: str) -> list[str]:
 _REQUIRED = object()
 
 # Option schema per command: dest -> (converter, default, help). Flags are
-# registered from the same table, so config files and the parser agree.
-_COMMON = {
-    "config": (str, None, "key=value config file; explicit flags win"),
-    "format": (str, "tsv", "output encoding: tsv or json-lines"),
-    "seed": (int, 0, "root seed; all randomness derives from it"),
-    "threads": (int, 1, "worker threads for batch commands (1 = serial)"),
+# registered from the same table, so config files and the parser agree. Each
+# command takes only the shared options it reads.
+_CONFIG = {"config": (str, None, "key=value config file; explicit flags win")}
+_FORMAT = {"format": (str, "tsv", "output encoding: tsv or json-lines")}
+_SEED = {"seed": (int, 0, "root seed; all randomness derives from it")}
+_THREADS = {"threads": (int, 1, "worker threads for batch commands (1 = serial)")}
+_BATCH = {**_CONFIG, **_FORMAT, **_SEED, **_THREADS}
+_RANK = {
+    **_CONFIG,
+    **_FORMAT,
+    **_SEED,
+    "index": (str, _REQUIRED, "directory written by preprocess"),
+    "query": (str, _REQUIRED, "U-side query label"),
+    "epsilon": (float, 1e-5, "entrywise score accuracy"),
+    "method": (str, "ssbipush", "ssbipush, mcsp, or pisp"),
+    "p_f": (float, 1e-6, "walk failure probability (mcsp)"),
 }
 
 _SCHEMAS: dict[str, dict] = {
     "synth": {
-        **_COMMON,
+        **_CONFIG,
+        **_SEED,
         "u_count": (int, _REQUIRED, "number of U-side nodes"),
         "v_count": (int, _REQUIRED, "number of V-side nodes"),
         "edge_count": (int, _REQUIRED, "number of distinct edges"),
@@ -113,7 +109,7 @@ _SCHEMAS: dict[str, dict] = {
         "out": (str, _REQUIRED, "edge-list path to write"),
     },
     "preprocess": {
-        **_COMMON,
+        **_CONFIG,
         "graph": (str, _REQUIRED, "edge-list path to parse"),
         "delimiter": (str, None, "column delimiter (default: any whitespace)"),
         "default_weight": (float, None, "weight for two-column lines"),
@@ -123,27 +119,17 @@ _SCHEMAS: dict[str, dict] = {
         "out_dir": (str, _REQUIRED, "directory for graph.bin and meta.json"),
     },
     "query": {
-        **_COMMON,
-        "index": (str, _REQUIRED, "directory written by preprocess"),
-        "query": (str, _REQUIRED, "U-side query label"),
-        "epsilon": (float, 1e-5, "entrywise score accuracy"),
-        "method": (str, "ssbipush", "ssbipush, mcsp, or pisp"),
-        "p_f": (float, 1e-6, "walk failure probability (mcsp)"),
+        **_RANK,
         "verbose": (_bool, False, "emit a trace record to stderr"),
     },
     "topk": {
-        **_COMMON,
-        "index": (str, _REQUIRED, "directory written by preprocess"),
-        "query": (str, _REQUIRED, "U-side query label"),
-        "epsilon": (float, 1e-5, "entrywise score accuracy"),
-        "method": (str, "ssbipush", "ssbipush, mcsp, or pisp"),
-        "p_f": (float, 1e-6, "walk failure probability (mcsp)"),
+        **_RANK,
         "k": (int, 10, "number of results"),
         "exclude_query": (_bool, False, "drop the query node from results"),
         "verbose": (_bool, False, "emit a trace record to stderr"),
     },
     "bench": {
-        **_COMMON,
+        **_BATCH,
         "index": (str, _REQUIRED, "directory written by preprocess"),
         "methods": (_strs, list(METHODS), "comma-separated methods"),
         "epsilons": (_floats, [1e-2, 1e-3, 1e-4], "comma-separated accuracies"),
@@ -152,7 +138,7 @@ _SCHEMAS: dict[str, dict] = {
         "timeout": (float, 3600.0, "wall-clock seconds per query before exclusion"),
     },
     "eval-qr": {
-        **_COMMON,
+        **_BATCH,
         "graph": (str, _REQUIRED, "edge-list path"),
         "delimiter": (str, None, "column delimiter"),
         "default_weight": (float, None, "weight for two-column lines"),
@@ -166,7 +152,7 @@ _SCHEMAS: dict[str, dict] = {
         "weighted_degree": (_bool, False, "weight-sum desirability denominator"),
     },
     "eval-rec": {
-        **_COMMON,
+        **_BATCH,
         "graph": (str, _REQUIRED, "edge-list path"),
         "delimiter": (str, None, "column delimiter"),
         "default_weight": (float, None, "weight for two-column lines"),
@@ -216,7 +202,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def make_config(command: str, namespace: argparse.Namespace) -> RunConfig:
+def make_config(command: str, namespace: argparse.Namespace) -> argparse.Namespace:
     schema = _SCHEMAS[command]
     file_values = {}
     if getattr(namespace, "config", None):
@@ -241,9 +227,9 @@ def make_config(command: str, namespace: argparse.Namespace) -> RunConfig:
                 raise UsageError(f"bad value for --{dest.replace('_', '-')}: {exc}") from None
         else:
             merged[dest] = raw
-    if merged.get("format") not in FORMATS:
+    if "format" in merged and merged["format"] not in FORMATS:
         raise UsageError(f"format must be one of {', '.join(FORMATS)}")
-    return RunConfig(command=command, values=merged)
+    return argparse.Namespace(command=command, **merged)
 
 
 # -- output ---------------------------------------------------------------------
@@ -272,18 +258,6 @@ def emit_rows(rows: list[dict], columns: list[str], fmt: str, out, header: bool 
             out.write("\t".join(_cell(row.get(c)) for c in columns) + "\n")
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 # -- commands ---------------------------------------------------------------------
 
 
@@ -299,14 +273,14 @@ def _load_index(index_dir: str) -> tuple[BipartiteGraph, "IndexMeta"]:
     return g, meta
 
 
-def _load_graph(cfg: RunConfig) -> BipartiteGraph:
+def _load_graph(cfg) -> BipartiteGraph:
     g = load_edge_list(cfg.graph, delimiter=cfg.delimiter, default_weight=cfg.default_weight)
     if cfg.kcore is not None:
         g = k_core_filter(g, cfg.kcore)
     return g
 
 
-def cmd_synth(cfg: RunConfig, out) -> int:
+def cmd_synth(cfg, out, err) -> int:
     g = synth_bipartite(
         cfg.u_count,
         cfg.v_count,
@@ -334,7 +308,7 @@ def cmd_synth(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_preprocess(cfg: RunConfig, out) -> int:
+def cmd_preprocess(cfg, out, err) -> int:
     t0 = time.perf_counter()
     g = _load_graph(cfg)
     out_dir = Path(cfg.out_dir)
@@ -360,16 +334,28 @@ def cmd_preprocess(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _run_query(cfg: RunConfig, g: BipartiteGraph, meta) -> "QueryResult":
-    method = cfg.method
+def _check_methods(methods, known) -> None:
+    for m in methods:
+        if m not in known:
+            raise UsageError(f"unknown method {m!r}; choose from {', '.join(known)}")
+
+
+def _answer(method, g, meta, q, eps, p_f, seed, alias=None, deadline=None) -> "QueryResult":
+    """Answer one query with the named method.
+
+    The query functions are read from this module's globals at call time, so
+    a caller that rebinds `bhpp_query` or `pisp_query` here sees every query.
+    mcsp builds alias tables unless `alias` is given; `seed` and `deadline`
+    are its walk seed and wall-clock limit.
+    """
+    _check_methods([method], METHODS)
     if method == "ssbipush":
-        return bhpp_query(g, meta, cfg.query, cfg.epsilon)
-    if method == "mcsp":
-        alias = build_alias(g)
-        return mcsp_query(g, alias, cfg.query, meta.alpha, cfg.epsilon, cfg.p_f, cfg.seed)
+        return bhpp_query(g, meta, q, eps)
     if method == "pisp":
-        return pisp_query(g, cfg.query, meta.alpha, cfg.epsilon)
-    raise UsageError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+        return pisp_query(g, q, meta.alpha, eps)
+    if alias is None:
+        alias = build_alias(g)
+    return mcsp_query(g, alias, q, meta.alpha, eps, p_f, seed, deadline=deadline)
 
 
 def _emit_trace(result, err) -> None:
@@ -382,27 +368,17 @@ def _emit_trace(result, err) -> None:
         "timing": result.timing,
         "phase_trace": result.phase_trace,
     }
-    err.write(json.dumps(_json_safe(record)) + "\n")
+    err.write(json.dumps(record) + "\n")
 
 
-def cmd_query(cfg: RunConfig, out, err) -> int:
+def cmd_topk(cfg, out, err) -> int:
+    """Ranked (label, score) lines; `query` has no --k or --exclude-query and
+    so ranks every U node, the query included."""
     g, meta = _load_index(cfg.index)
-    result = _run_query(cfg, g, meta)
-    order = np.argsort(-result.scores, kind="stable")
-    rows = [
-        {"label": g.u_labels[i], "score": float(result.scores[i])}
-        for i in order.tolist()
-    ]
-    emit_rows(rows, ["label", "score"], cfg.format, out, header=False)
-    if cfg.verbose:
-        _emit_trace(result, err)
-    return EXIT_OK
-
-
-def cmd_topk(cfg: RunConfig, out, err) -> int:
-    g, meta = _load_index(cfg.index)
-    result = _run_query(cfg, g, meta)
-    pairs = topk_of(result, cfg.k, exclude_query=cfg.exclude_query)
+    result = _answer(cfg.method, g, meta, cfg.query, cfg.epsilon, cfg.p_f, cfg.seed)
+    pairs = topk_of(
+        result, getattr(cfg, "k", g.u_count), exclude_query=getattr(cfg, "exclude_query", False)
+    )
     rows = [{"label": lab, "score": score} for lab, score in pairs]
     emit_rows(rows, ["label", "score"], cfg.format, out, header=False)
     if cfg.verbose:
@@ -410,11 +386,9 @@ def cmd_topk(cfg: RunConfig, out, err) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, out) -> int:
+def cmd_bench(cfg, out, err) -> int:
     g, meta = _load_index(cfg.index)
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    _check_methods(cfg.methods, METHODS)
     rng = substream(cfg.seed, "bench-queries")
     n = min(cfg.queries, g.u_count)
     queries = rng.choice(g.u_count, size=n, replace=False).tolist()
@@ -422,7 +396,6 @@ def cmd_bench(cfg: RunConfig, out) -> int:
 
     rows: list[dict] = []
     kept_scores: dict[tuple[str, float], list[np.ndarray]] = {}
-    excluded_any = False
     for eps in cfg.epsilons:
         for method in cfg.methods:
             budget = cfg.timeout * n
@@ -437,14 +410,8 @@ def cmd_bench(cfg: RunConfig, out) -> int:
                 if time.perf_counter() > deadline:
                     raise DeadlineExceeded(f"{method} passed its {budget} s budget")
                 qi, q = item
-                if method == "ssbipush":
-                    return bhpp_query(g, meta, q, eps)
-                if method == "pisp":
-                    return pisp_query(g, q, meta.alpha, eps)
                 walk_seed = int(substream(cfg.seed, "bench-mc", qi).integers(0, 2**63))
-                return mcsp_query(
-                    g, alias, q, meta.alpha, eps, cfg.p_f, walk_seed, deadline=deadline
-                )
+                return _answer(method, g, meta, q, eps, cfg.p_f, walk_seed, alias, deadline)
 
             try:
                 pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
@@ -455,32 +422,19 @@ def cmd_bench(cfg: RunConfig, out) -> int:
             except DeadlineExceeded:
                 excluded = True
 
-            if excluded:
-                excluded_any = True
-                rows.append(
-                    {
-                        "kind": "timing",
-                        "method": method,
-                        "epsilon": eps,
-                        "mean_s": None,
-                        "stddev_s": None,
-                        "n": len(times),
-                        "excluded": True,
-                    }
-                )
-            else:
-                arr = np.asarray(times)
-                rows.append(
-                    {
-                        "kind": "timing",
-                        "method": method,
-                        "epsilon": eps,
-                        "mean_s": float(arr.mean()),
-                        "stddev_s": float(arr.std(ddof=0)),
-                        "n": n,
-                        "excluded": False,
-                    }
-                )
+            arr = np.asarray(times)
+            rows.append(
+                {
+                    "kind": "timing",
+                    "method": method,
+                    "epsilon": eps,
+                    "mean_s": None if excluded else float(arr.mean()),
+                    "stddev_s": None if excluded else float(arr.std(ddof=0)),
+                    "n": len(times),
+                    "excluded": excluded,
+                }
+            )
+            if not excluded:
                 kept_scores[(method, eps)] = scores
         for a, b in combinations([m for m in cfg.methods if (m, eps) in kept_scores], 2):
             diffs = [
@@ -512,16 +466,14 @@ def cmd_bench(cfg: RunConfig, out) -> int:
         "within",
     ]
     emit_rows(rows, columns, cfg.format, out)
-    return EXIT_TIMEOUT if excluded_any else EXIT_OK
+    return EXIT_TIMEOUT if any(r.get("excluded") for r in rows) else EXIT_OK
 
 
 _EVAL_COLUMNS = ["method", "k", "metric", "mean", "stddev", "n"]
 
 
-def cmd_eval_qr(cfg: RunConfig, out) -> int:
-    for m in cfg.methods:
-        if m not in EVAL_METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {', '.join(EVAL_METHODS)}")
+def cmd_eval_qr(cfg, out, err) -> int:
+    _check_methods(cfg.methods, EVAL_METHODS)
     g = _load_graph(cfg)
     rows = qr_ndcg_eval(
         g,
@@ -539,10 +491,8 @@ def cmd_eval_qr(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def cmd_eval_rec(cfg: RunConfig, out) -> int:
-    for m in cfg.methods:
-        if m not in EVAL_METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {', '.join(EVAL_METHODS)}")
+def cmd_eval_rec(cfg, out, err) -> int:
+    _check_methods(cfg.methods, EVAL_METHODS)
     g = _load_graph(cfg)
     rows = rec_eval(
         g,
@@ -573,21 +523,17 @@ def main(argv=None, out=None, err=None) -> int:
         if not namespace.command:
             raise UsageError("a subcommand is required (see --help)")
         cfg = make_config(namespace.command, namespace)
-        if cfg.command == "synth":
-            return cmd_synth(cfg, out)
-        if cfg.command == "preprocess":
-            return cmd_preprocess(cfg, out)
-        if cfg.command == "query":
-            return cmd_query(cfg, out, err)
-        if cfg.command == "topk":
-            return cmd_topk(cfg, out, err)
-        if cfg.command == "bench":
-            return cmd_bench(cfg, out)
-        if cfg.command == "eval-qr":
-            return cmd_eval_qr(cfg, out)
-        if cfg.command == "eval-rec":
-            return cmd_eval_rec(cfg, out)
-        raise UsageError(f"unknown command {cfg.command!r}")
+        # Built per call, so a handler rebound on this module is the one run.
+        handler = {
+            "synth": cmd_synth,
+            "preprocess": cmd_preprocess,
+            "query": cmd_topk,
+            "topk": cmd_topk,
+            "bench": cmd_bench,
+            "eval-qr": cmd_eval_qr,
+            "eval-rec": cmd_eval_rec,
+        }[cfg.command]
+        return handler(cfg, out, err)
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE

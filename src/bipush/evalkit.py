@@ -143,28 +143,20 @@ def split_edges(
     return EvalSplit(train, test, candidates, side, holdout_ratio, seed)
 
 
-def desirability(g: BipartiteGraph, qi: int, qj: int, weighted_degree: bool = False) -> float:
-    """Co-neighbor affinity of candidate qj for query qi.
+def desirability_row(g: BipartiteGraph, qi: int, weighted_degree: bool = False) -> np.ndarray:
+    """Co-neighbor affinity of every U node as a candidate for query qi.
 
-    Sums qj's edge weights to neighbors shared with qi, divided by qj's
-    neighbor count (or weight sum with weighted_degree=True).
+    Entry qj sums qj's edge weights to neighbors shared with qi, divided by
+    qj's neighbor count (or weight sum with weighted_degree=True).
     """
-    a0, a1 = g.u_indptr[qi], g.u_indptr[qi + 1]
-    b0, b1 = g.u_indptr[qj], g.u_indptr[qj + 1]
-    total = 0.0
-    i, j = a0, b0
-    while i < a1 and j < b1:
-        vi, vj = g.u_indices[i], g.u_indices[j]
-        if vi < vj:
-            i += 1
-        elif vi > vj:
-            j += 1
-        else:
-            total += g.u_weights[j]
-            i += 1
-            j += 1
-    denom = g.ws_u[qj] if weighted_degree else g.deg_u[qj]
-    return float(total / denom)
+    mark = np.zeros(g.v_count)
+    mark[g.u_indices[g.u_indptr[qi] : g.u_indptr[qi + 1]]] = 1.0
+    return (g.u_adj @ mark) / (g.ws_u if weighted_degree else g.deg_u)
+
+
+def desirability(g: BipartiteGraph, qi: int, qj: int, weighted_degree: bool = False) -> float:
+    """Co-neighbor affinity of candidate qj for query qi (see desirability_row)."""
+    return float(desirability_row(g, qi, weighted_degree)[qj])
 
 
 def ndcg_at_k(judgment: RankedJudgment, k: int) -> float:
@@ -347,11 +339,8 @@ def qr_ndcg_eval(
 
     relevance_of = {}
     for qi in queries.tolist():
-        relevance_of[qi] = {
-            qj: desirability(g, qi, qj, weighted_degree)
-            for qj in range(g.u_count)
-            if qj != qi
-        }
+        row = desirability_row(g, qi, weighted_degree).tolist()
+        relevance_of[qi] = {qj: row[qj] for qj in range(g.u_count) if qj != qi}
 
     rows = []
     for method in methods:

@@ -9,6 +9,8 @@ from scipy import stats
 from bipush import (
     DeadlineExceeded,
     build_alias,
+    build_index_meta,
+    bhpp_query,
     exact_bhpp,
     exact_hpp,
     mc_walk_count,
@@ -143,3 +145,16 @@ class TestPispQuery:
         res = pisp_query(g, 0, ALPHA, 1e-2)
         assert res.method == "pisp"
         assert res.phase_trace["forward"]["power_iterations"] > 0
+
+
+@pytest.mark.parametrize("bad", ["u_count", -1])
+@pytest.mark.parametrize("method", ["ssbipush", "pisp", "mcsp"])
+def test_query_index_out_of_range_is_value_error(g3, method, bad):
+    q = g3.u_count if bad == "u_count" else bad
+    run = {
+        "ssbipush": lambda: bhpp_query(g3, build_index_meta(g3, ALPHA), q, 1e-2),
+        "pisp": lambda: pisp_query(g3, q, ALPHA, 1e-2),
+        "mcsp": lambda: mcsp_query(g3, build_alias(g3), q, ALPHA, 0.5),
+    }[method]
+    with pytest.raises(ValueError, match="out of range"):
+        run()

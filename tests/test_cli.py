@@ -139,6 +139,30 @@ class TestQueryTopk:
         assert "phase_trace" in trace and "timing" in trace
         assert 0.0 <= trace["phase_trace"]["forward"]["power_tail_bound"] <= trace["epsilon_f"]
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+    @pytest.mark.parametrize("method", ["ssbipush", "pisp", "mcsp"])
+    def test_query_is_topk_over_every_node(self, index_dir, method, fmt):
+        _, _, idx, _ = index_dir
+        args = ("--index", str(idx), "--query", "u4", "--epsilon", "0.05",
+                "--method", method, "--seed", "9", "--format", fmt)
+        code_q, out_q, err_q = run_cli("query", *args)
+        code_t, out_t, err_t = run_cli("topk", *args, "--k", "40")
+        assert code_q == code_t == EXIT_OK, err_q + err_t
+        assert out_q == out_t
+        assert len(out_q.splitlines()) == 40
+
+    @pytest.mark.parametrize("method", ["pisp", "mcsp"])
+    def test_baseline_trace_is_plain_json(self, index_dir, method):
+        _, _, idx, _ = index_dir
+        code, _, err = run_cli(
+            "query", "--index", str(idx), "--query", "u1", "--epsilon", "0.05",
+            "--method", method, "--verbose",
+        )
+        assert code == EXIT_OK, err
+        trace = json.loads(err)
+        assert trace["method"] == method
+        assert trace["query_index"] == 1
+
     def test_methods_agree_through_cli(self, index_dir):
         _, _, idx, _ = index_dir
         outputs = {}
@@ -209,6 +233,28 @@ class TestBench:
         assert all(r["excluded"] for r in parse_tsv(out) if r["kind"] == "timing")
         code, out, err = run_cli(*args, "--timeout", "3600")
         assert code == EXIT_OK, err
+
+    def test_bench_calls_the_module_query_functions(self, index_dir, monkeypatch):
+        # Callers that rebind cli.bhpp_query / cli.pisp_query see every query.
+        import bipush.cli as cli
+
+        seen = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "bhpp_query", spy("ssbipush", cli.bhpp_query))
+        monkeypatch.setattr(cli, "pisp_query", spy("pisp", cli.pisp_query))
+        _, _, idx, _ = index_dir
+        code, _, err = run_cli(
+            "bench", "--index", str(idx), "--methods", "ssbipush,pisp",
+            "--epsilons", "1e-2", "--queries", "3",
+        )
+        assert code == EXIT_OK, err
+        assert sorted(seen) == ["pisp"] * 3 + ["ssbipush"] * 3
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_exclusion_ignores_reported_query_times(self, index_dir, threads, monkeypatch):
@@ -287,6 +333,38 @@ class TestConfigAndErrors:
         code, _, err = run_cli("query", "--config", str(cfg), "--index", str(idx), "--query", "u0")
         assert code == EXIT_USAGE
         assert "wibble" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("topk", "--threads", "2"),
+        ("query", "--threads", "2"),
+        ("preprocess", "--seed", "1"),
+        ("preprocess", "--format", "tsv"),
+        ("synth", "--format", "tsv"),
+        ("synth", "--threads", "2"),
+        ("topk", "--format", "xml"),
+    ], ids="".join)
+    def test_option_the_command_does_not_read_is_usage_error(self, index_dir, tmp_path, argv):
+        _, graph, idx, _ = index_dir
+        given = {
+            "synth": ("--u-count", "4", "--v-count", "4", "--edge-count", "8",
+                      "--out", str(tmp_path / "g.tsv")),
+            "preprocess": ("--graph", str(graph), "--out-dir", str(tmp_path / "idx")),
+            "query": ("--index", str(idx), "--query", "u0"),
+            "topk": ("--index", str(idx), "--query", "u0"),
+        }[argv[0]]
+        code, out, err = run_cli(*argv, *given)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    def test_config_key_the_command_does_not_read_is_usage_error(self, index_dir, tmp_path):
+        _, _, idx, _ = index_dir
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"index = {idx}\nquery = u0\nthreads = 2\n")
+        code, out, err = run_cli("topk", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unknown config keys: threads" in err
 
     def test_missing_required_is_usage_error(self):
         code, _, err = run_cli("query", "--query", "u0")

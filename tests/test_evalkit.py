@@ -22,6 +22,7 @@ from bipush import (
     split_edges,
     synth_bipartite,
 )
+from bipush.evalkit import desirability_row
 from conftest import random_bigraph
 
 
@@ -173,6 +174,26 @@ class TestDesirability:
             weighted = sum(wt[(int(qj), b)] for b in shared) / g.ws_u[qj]
             assert desirability(g, int(qi), int(qj), False) == pytest.approx(plain, abs=1e-12)
             assert desirability(g, int(qi), int(qj), True) == pytest.approx(weighted, abs=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_row_matches_brute_force(self, weighted):
+        # Summing the shared weights in ascending V order, as the sparse
+        # product does, gives the same bits.
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            g = random_bigraph(rng, int(rng.integers(5, 30)), int(rng.integers(5, 30)), 3.0)
+            eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
+            wt = dict(zip(zip(eu.tolist(), g.u_indices.tolist()), g.u_weights.tolist()))
+            nbr = {}
+            for a, b in wt:
+                nbr.setdefault(a, set()).add(b)
+            qi = int(rng.integers(0, g.u_count))
+            denom = g.ws_u if weighted else g.deg_u
+            want = [
+                sum(wt[(qj, b)] for b in sorted(nbr[qi] & nbr[qj])) / denom[qj]
+                for qj in range(g.u_count)
+            ]
+            assert desirability_row(g, qi, weighted).tolist() == want
 
 
 class TestPredictScore:
