@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 from functools import cached_property
 from pathlib import Path
@@ -152,18 +153,26 @@ class BipartiteGraph:
     def from_edges(cls, u_labels, v_labels, triples):
         """Build a graph from (u_index, v_index, weight) triples.
 
-        Triples repeating the same (u, v) pair are merged by summing weights.
+        Triples repeating the same (u, v) pair are merged by summing weights
+        in input order.
         """
-        merged: dict[tuple[int, int], float] = {}
-        for ui, vi, w in triples:
-            key = (int(ui), int(vi))
-            merged[key] = merged.get(key, 0.0) + float(w)
-        if not merged:
-            raise DataError("empty graph: at least one edge is required")
-        eu = np.fromiter((k[0] for k in merged), dtype=np.int64, count=len(merged))
-        ev = np.fromiter((k[1] for k in merged), dtype=np.int64, count=len(merged))
-        ew = np.fromiter(merged.values(), dtype=np.float64, count=len(merged))
-        return cls(u_labels, v_labels, eu, ev, ew)
+        eu, ev, ew = tuple(zip(*triples, strict=True)) or ((), (), ())
+        return cls._merged(u_labels, v_labels, eu, ev, ew)
+
+    @classmethod
+    def _merged(cls, u_labels, v_labels, edge_u, edge_v, edge_w):
+        """Build from edge columns, summing a repeated pair's weights in input
+        order. The stable sort keys are the separate columns: a combined
+        u*|V|+v key could fold an out-of-range pair into a valid one."""
+        eu = np.asarray(edge_u, dtype=np.int64)
+        ev = np.asarray(edge_v, dtype=np.int64)
+        ew = np.asarray(edge_w, dtype=np.float64)
+        order = np.lexsort((ev, eu))
+        eu, ev, ew = eu[order], ev[order], ew[order]
+        first = np.ones(eu.size, dtype=bool)
+        first[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
+        sums = np.bincount(np.cumsum(first) - 1, weights=ew)
+        return cls(u_labels, v_labels, eu[first], ev[first], sums)
 
     # -- label lookup --------------------------------------------------------
 
@@ -297,7 +306,8 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
     Each data line is "u_label v_label weight" (or "u_label v_label" when
     default_weight is given). Columns split on `delimiter`, or on any
     whitespace when it is None. Lines that are blank or start with '#' are
-    skipped. Duplicate (u, v) pairs merge by summing weights.
+    skipped. Duplicate (u, v) pairs merge into one edge whose weight is
+    their sum, added in file order.
 
     Args:
         source: path, text file object, or binary file object.
@@ -309,9 +319,7 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
             malformed lines, non-positive weights, labels used on both
             sides, or an empty graph.
     """
-    if default_weight is not None and not (
-        np.isfinite(default_weight) and default_weight > 0
-    ):
+    if default_weight is not None and not 0 < default_weight < math.inf:
         raise DataError("default_weight must be positive and finite")
 
     # Undecodable bytes become lone surrogates, which the loop reports with
@@ -336,9 +344,9 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
 
     u_index: dict[str, int] = {}
     v_index: dict[str, int] = {}
-    u_labels: list[str] = []
-    v_labels: list[str] = []
-    triples: list[tuple[int, int, float]] = []
+    eu: list[int] = []
+    ev: list[int] = []
+    ew: list[float] = []
     try:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
@@ -363,29 +371,25 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
                     raise DataError(f"line {lineno}: bad weight {cols[2]!r}") from None
             else:
                 raise DataError(f"line {lineno}: expected 2 or 3 columns, got {len(cols)}")
-            if not np.isfinite(w) or w <= 0:
+            if not 0 < w < math.inf:  # also false for NaN
                 raise DataError(f"line {lineno}: weight must be positive, got {w}")
             ul, vl = cols[0], cols[1]
             if ul in v_index:
                 raise DataError(f"line {lineno}: label appears on both sides: {ul!r}")
             if vl in u_index:
                 raise DataError(f"line {lineno}: label appears on both sides: {vl!r}")
-            ui = u_index.setdefault(ul, len(u_labels))
-            if ui == len(u_labels):
-                u_labels.append(ul)
-            vi = v_index.setdefault(vl, len(v_labels))
-            if vi == len(v_labels):
-                v_labels.append(vl)
-            triples.append((ui, vi, w))
+            eu.append(u_index.setdefault(ul, len(u_index)))
+            ev.append(v_index.setdefault(vl, len(v_index)))
+            ew.append(w)
     finally:
         if close:
             fh.close()
         elif fh is not source:
             fh.detach()  # else the wrapper's finalizer closes the caller's handle
 
-    if not triples:
+    if not ew:
         raise DataError("empty graph: no data lines found")
-    return BipartiteGraph.from_edges(u_labels, v_labels, triples)
+    return BipartiteGraph._merged(list(u_index), list(v_index), eu, ev, ew)
 
 
 def hidden_transition_entry(g: BipartiteGraph, ui: int, uj: int) -> float:
@@ -420,40 +424,28 @@ def k_core_filter(g: BipartiteGraph, k: int) -> BipartiteGraph:
     """
     if k <= 1:
         return g
-    from collections import deque
-
-    deg = [g.deg_u.astype(np.int64).copy(), g.deg_v.astype(np.int64).copy()]
-    dead = [np.zeros(g.u_count, dtype=bool), np.zeros(g.v_count, dtype=bool)]
-    indptr = [g.u_indptr, g.v_indptr]
-    indices = [g.u_indices, g.v_indices]
-
-    queue = deque()
-    for side in (0, 1):
-        for i in np.flatnonzero(deg[side] < k):
-            dead[side][i] = True
-            queue.append((side, int(i)))
-    while queue:
-        side, i = queue.popleft()
-        other = 1 - side
-        for j in indices[side][indptr[side][i] : indptr[side][i + 1]]:
-            if not dead[other][j]:
-                deg[other][j] -= 1
-                if deg[other][j] < k:
-                    dead[other][j] = True
-                    queue.append((other, int(j)))
-
-    keep_u = ~dead[0]
-    keep_v = ~dead[1]
-    if not keep_u.any() or not keep_v.any():
+    deg_u = g.deg_u.astype(np.int64)
+    deg_v = g.deg_v.astype(np.int64)
+    keep_u, keep_v = deg_u >= k, deg_v >= k
+    drop_u, drop_v = np.flatnonzero(~keep_u), np.flatnonzero(~keep_v)
+    # Peel in rounds: the nodes a round drops take one degree from each
+    # neighbor per shared edge, so every edge is counted off once and a long
+    # chain of rounds never rescans the whole graph.
+    while drop_u.size or drop_v.size:
+        deg_v -= np.bincount(g.u_adj[drop_u].indices, minlength=g.v_count)
+        deg_u -= np.bincount(g.v_adj[drop_v].indices, minlength=g.u_count)
+        drop_u = np.flatnonzero(keep_u & (deg_u < k))
+        drop_v = np.flatnonzero(keep_v & (deg_v < k))
+        keep_u[drop_u] = False
+        keep_v[drop_v] = False
+    if not keep_u.any():
         raise DataError(f"k-core is empty for k={k}")
 
     new_u = np.cumsum(keep_u) - 1
     new_v = np.cumsum(keep_v) - 1
     eu = np.repeat(np.arange(g.u_count), g.deg_u)
-    ev = g.u_indices.astype(np.int64)
+    ev = g.u_indices
     ok = keep_u[eu] & keep_v[ev]
-    if not ok.any():
-        raise DataError(f"k-core is empty for k={k}")
     u_labels = [lab for lab, kp in zip(g.u_labels, keep_u) if kp]
     v_labels = [lab for lab, kp in zip(g.v_labels, keep_v) if kp]
     return BipartiteGraph(u_labels, v_labels, new_u[eu[ok]], new_v[ev[ok]], g.u_weights[ok])

@@ -387,6 +387,8 @@ def cmd_topk(cfg, out, err) -> int:
 
 
 def cmd_bench(cfg, out, err) -> int:
+    if cfg.queries < 1:
+        raise UsageError("--queries must be positive")
     g, meta = _load_index(cfg.index)
     _check_methods(cfg.methods, METHODS)
     rng = substream(cfg.seed, "bench-queries")
@@ -540,6 +542,9 @@ def main(argv=None, out=None, err=None) -> int:
     except DataError as exc:
         err.write(f"data error: {exc}\n")
         return EXIT_DATA
+    except ValueError as exc:  # an option value the library rejects, e.g. --k 0
+        err.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

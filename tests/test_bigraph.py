@@ -92,6 +92,16 @@ class TestConstruction:
         assert g.edge_count == 2
         assert g.ws_u[g.u_id("u1")] == pytest.approx(3.5)
 
+    @pytest.mark.parametrize("triples", [
+        [(1, 0, 1.0), (0, 1, 1.0)],
+        [(0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0)],
+    ])
+    def test_from_edges_keeps_out_of_range_pairs_apart(self, triples):
+        # (1, 0) and (0, 1) share the key u*|V|+v = 1 for |V| = 1; merging on
+        # it would hide the out-of-range V index from the range check
+        with pytest.raises(DataError, match="out of range"):
+            BipartiteGraph.from_edges(["a", "b"], ["x"], triples)
+
     def test_label_lookup(self, g3):
         assert g3.u_id("u2") == 1
         assert g3.v_id("v1") == 0
@@ -389,6 +399,48 @@ class TestEdgeListParsing:
         assert g.edge_count == 2
         assert g.ws_u[g.u_id("a")] == 3.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("a x 1.0\nb x 1.0 2.0\n", "line 2: expected 2 or 3 columns, got 4"),
+        ("a x 0\n", "line 1: weight must be positive, got 0.0"),
+        ("a x -1\n", "line 1: weight must be positive, got -1.0"),
+        ("a x nan\n", "line 1: weight must be positive, got nan"),
+        ("a x inf\n", "line 1: weight must be positive, got inf"),
+        # the first bad line wins
+        ("a x 1.0\nb x 0\nc x 1 1 1\n", "line 2: weight must be positive, got 0.0"),
+        # a label that is new on both sides in one line reaches the constructor
+        ("a a 1.0\n", "label appears on both sides: 'a'"),
+    ], ids=["4-columns", "weight-0", "weight-negative", "weight-nan", "weight-inf",
+            "first-bad-line", "both-sides-one-line"])
+    def test_rejection_message(self, text, message):
+        with pytest.raises(DataError) as info:
+            load_edge_list(io.StringIO(text))
+        assert str(info.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_dict_merge_reference(self, data):
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=12, unique=True,
+        ))
+        edges = []
+        for a, b in pairs:
+            for _ in range(data.draw(st.integers(1, 20))):
+                edges.append((f"u{a}", f"v{b}", data.draw(st.floats(1e-5, 1e5))))
+        edges = data.draw(st.permutations(edges))
+        lines = []
+        for ul, vl, w in edges:
+            lines.append(data.draw(st.sampled_from(["", "# note\n", "\n", " \t\n"])))
+            sep = data.draw(st.sampled_from([" ", "\t", "  "]))
+            lines.append(f"{ul}{sep}{vl}\t{w!r}\n")
+        # reference: labels in first-seen order, weights summed in file order
+        u_index, v_index, merged = {}, {}, {}
+        for ul, vl, w in edges:
+            key = (u_index.setdefault(ul, len(u_index)), v_index.setdefault(vl, len(v_index)))
+            merged[key] = merged.get(key, 0.0) + w
+        eu, ev = zip(*merged)
+        ref = BipartiteGraph(list(u_index), list(v_index), eu, ev, list(merged.values()))
+        assert load_edge_list(io.StringIO("".join(lines))).to_bytes() == ref.to_bytes()
+
     def test_invalid_utf8_names_line(self):
         with pytest.raises(DataError, match="line 2: not valid UTF-8"):
             load_edge_list(io.BytesIO(b"a x 1.0\nb\xff x 1.0\n"))
@@ -435,10 +487,14 @@ class TestKCore:
         with pytest.raises(DataError, match="k-core is empty"):
             k_core_filter(g2, 3)
 
-    def test_matches_iterative_reference(self):
-        rng = np.random.default_rng(31)
-        g = random_bigraph(rng, 30, 30, 3.0)
-        core = k_core_filter(g, 2)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("graph", ["uniform31", "uniform32", "uniform33", "skew"])
+    def test_matches_iterative_reference(self, graph, k):
+        if graph == "skew":
+            g = synth_bipartite(60, 50, 240, degree_skew=1.2, seed=4)
+        else:
+            # average degree k + 1 leaves a core that is neither empty nor whole
+            g = random_bigraph(np.random.default_rng(int(graph[-2:])), 30, 30, k + 1.0)
         # reference: peel sets until stable
         eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
         edges = {(int(a), int(b)) for a, b in zip(eu, g.u_indices)}
@@ -448,15 +504,19 @@ class TestKCore:
             for a, b in edges:
                 du[a] = du.get(a, 0) + 1
                 dv[b] = dv.get(b, 0) + 1
-            drop_u = {a for a, d in du.items() if d < 2}
-            drop_v = {b for b, d in dv.items() if d < 2}
+            drop_u = {a for a, d in du.items() if d < k}
+            drop_v = {b for b, d in dv.items() if d < k}
             if not drop_u and not drop_v:
                 break
             edges = {
                 (a, b) for a, b in edges if a not in drop_u and b not in drop_v
             }
-        kept_u = sorted({g.u_labels[a] for a, _ in edges})
-        assert sorted(core.u_labels) == kept_u
+        assert edges, "the case should keep a non-empty core"
+        core = k_core_filter(g, k)
+        core_eu = np.repeat(np.arange(core.u_count), np.diff(core.u_indptr))
+        assert {(core.u_labels[a], core.v_labels[b]) for a, b in zip(core_eu, core.u_indices)} == {
+            (g.u_labels[a], g.v_labels[b]) for a, b in edges
+        }
         assert core.edge_count == len(edges)
 
 

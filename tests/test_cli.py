@@ -424,6 +424,27 @@ class TestConfigAndErrors:
         code, _, err = run_cli("query", "--index", str(idx), "--query", "u0", "--epsilon", "soup")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("topk", "--k", "0"),
+        ("topk", "--epsilon", "0"),
+        ("topk", "--method", "mcsp", "--p-f", "0"),
+        ("bench", "--epsilons", "0"),
+        ("bench", "--queries", "0"),
+        ("preprocess", "--alpha", "1.5"),
+        ("preprocess", "--tau", "-1"),
+    ], ids="".join)
+    def test_value_the_library_rejects_is_usage_error(self, index_dir, tmp_path, argv):
+        _, graph, idx, _ = index_dir
+        given = {
+            "preprocess": ("--graph", str(graph), "--out-dir", str(tmp_path / "idx")),
+            "topk": ("--index", str(idx), "--query", "u0"),
+            "bench": ("--index", str(idx), "--methods", "ssbipush,pisp"),
+        }[argv[0]]
+        code, out, err = run_cli(*argv, *given)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+
     def test_unknown_method_is_usage_error(self, index_dir):
         _, _, idx, _ = index_dir
         code, _, err = run_cli(
