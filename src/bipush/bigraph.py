@@ -78,9 +78,12 @@ class BipartiteGraph:
 
         # Canonical order: U-side rows sorted by (u, v). Duplicate pairs are a
         # constructor error; merging belongs to from_edges / load_edge_list.
-        order = np.lexsort((ev, eu))
+        # The endpoints are in range here, so one int64 key per pair sorts
+        # like (u, v), and a stable sort of that key beats a lexsort.
+        key = eu * len(v_labels) + ev
+        order = np.argsort(key, kind="stable")
         eu, ev, ew = eu[order], ev[order], ew[order]
-        if (np.diff(eu * len(v_labels) + ev) == 0).any():
+        if (np.diff(key[order]) == 0).any():
             raise DataError("duplicate edge passed to constructor")
         indptr = np.concatenate(([0], np.cumsum(np.bincount(eu, minlength=len(u_labels)))))
         self._finish(u_labels, v_labels, indptr, ev.astype(np.int32), ew)

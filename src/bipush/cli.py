@@ -309,6 +309,12 @@ def cmd_synth(cfg, out, err) -> int:
 
 
 def cmd_preprocess(cfg, out, err) -> int:
+    # Checked before anything is written, so a bad value leaves no graph.bin
+    # without its meta.json.
+    if not 0.0 < cfg.alpha < 1.0:
+        raise UsageError(f"--alpha must lie strictly between 0 and 1, got {cfg.alpha}")
+    if cfg.tau is not None and cfg.tau < 0:
+        raise UsageError(f"--tau must be nonnegative, got {cfg.tau}")
     t0 = time.perf_counter()
     g = _load_graph(cfg)
     out_dir = Path(cfg.out_dir)

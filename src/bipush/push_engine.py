@@ -21,21 +21,29 @@ scatters slot by slot while the pushed rows are a small share of the edges
 and otherwise runs one sparse mat-vec with the matrix's transpose.
 
 Every kernel runs the same loop of thresholded rounds, `_rounds`, which stops
-when no U residue exceeds its threshold or when the kernel's budget rule
-says so. ss_push budgets the settled work: once n_p (degree sum of every node
-pushed so far) exceeds 2|E| log_{1/(1-alpha)}(1 / residue mass), thresholded
-pushing has stopped paying for itself and the kernel switches to sequential
-rounds that push every positive residue. pi_push reuses the loop to answer
-the forward question "where does a walk from u land", exploiting the
-reversibility of the two-hop chain: backward residues and estimates convert
-to forward ones through the weight-sum ratio ws(u_i)/ws(u), so it continues
-pushing the seed ledger under per-node thresholds ws(u)/ws(u_i) *
-eps_f/lambda, and on budget exhaustion finishes the transformed residues
-x with power iterations. The depth t is fixed before the loop so that the
-dropped tail (1-alpha)^(t+1) * min(sum x, ws_max * max_j x_j / ws_j) is at
-most eps_f: the first factor is the L1 bound, the second holds because the
-two-hop chain is reversible with respect to ws (ws_i P_ij = ws_j P_ji), so
-max_j (x P^l)_j / ws_j never grows with l.
+when no U residue exceeds its threshold or when the kernel's switch rule
+says so. Both budgeted kernels share the paper's budget: thresholded pushing
+has stopped paying for itself once n_p (degree sum of every node pushed so
+far) reaches 2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the
+ws-weighted residue mass sum_i ws(u_i) r(u_i) over its value at entry. The
+ratio starts at 1 and never grows, so the budget is never negative, hub
+targets included. ss_push then switches to sequential rounds that push
+every positive residue. pi_push reuses the loop to answer the forward
+question "where does a walk from u land", exploiting the reversibility of
+the two-hop chain: backward residues and estimates convert to forward ones
+through the weight-sum ratio ws(u_i)/ws(u), so it continues pushing the
+seed ledger under per-node thresholds ws(u)/ws(u_i) * eps_f/lambda, and on
+a switch finishes the transformed residues x with power iterations. Their
+depth t is certified from the residues at the switch: the dropped tail
+(1-alpha)^(t+1) * min(sum x, ws_max * max_j x_j / ws_j) is at most eps_f.
+The first factor is the L1 bound; the second holds because the two-hop
+chain is reversible with respect to ws (ws_i P_ij = ws_j P_ji), so
+max_j (x P^l)_j / ws_j never grows with l. pi_push switches on cost first:
+a power iteration costs 2|E| of n_p, so it switches at the first round
+boundary where the round's n_p exceeds 2|E| times the drop in certified
+depth that the round bought (the trace's switched_by is "cost"). The
+paper's budget stays as a cap (switched_by "cap"), so its complexity bound
+still holds.
 
 Cost model: every push adds the pushed node's degree to n_p, and the
 kernels' actual work is proportional to n_p. Rounds run over the whole
@@ -156,21 +164,21 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
 
     Selective rounds run as in selective_push; at each round boundary, if all
     residues cleared the threshold the kernel returns, otherwise it compares
-    n_p against 2|E| log_{1/(1-alpha)}(1 / residue mass) and on exhaustion
+    n_p against the paper's budget 2|E| log_{1/(1-alpha)}(1 / ratio), ratio
+    being the ws-weighted residue mass over ws(target), and on exhaustion
     switches to sequential rounds (threshold zero) until every residue is at
     most epsilon_b. Either way the exit guarantees max residue <= epsilon_b,
-    hence the epsilon_b accuracy of the estimates.
+    hence the epsilon_b accuracy of the estimates; the trace's residue_bound
+    is that max residue (hidden-walk rows sum to 1, so it bounds the error).
     """
     _check_alpha(alpha)
     if epsilon_b <= 0:
         raise ValueError("epsilon_b must be positive")
     led = ResidueLedger.initial(g, target_u)
-    log_decay = math.log(1.0 / (1.0 - alpha))
-    budget_scale = 2.0 * g.edge_count
+    w_ratio = g.ws_u / g.ws_u[target_u]
 
     def spent() -> bool:
-        mass = float(led.residue_u.sum())
-        return led.n_p >= budget_scale * (math.log(1.0 / mass) / log_decay)
+        return _budget_spent(g, alpha, led.n_p, float((w_ratio * led.residue_u).sum()))
 
     sel_rounds, met = _rounds(g, led, alpha, epsilon_b, epsilon_b, "selective", round_hook, spent)
     seq_rounds = 0
@@ -181,6 +189,7 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
         "selective_rounds": sel_rounds,
         "sequential_rounds": seq_rounds,
         "power_iterations": 0,
+        "residue_bound": float(led.residue_u.max()),
         "n_p": led.n_p,
     }
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch")
@@ -191,13 +200,19 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
 
     Continues pushing the seed ledger (mutating it) under per-node residue
     thresholds ws(u)/ws(u_i) * epsilon_f / lam. On threshold exit the forward
-    scores are the transformed estimates ws(u_i)/ws(u) * estimate(u_i); on
-    budget exhaustion the still-transformed residues x are finished with
-    power iterations. Their depth is required_iterations(alpha, epsilon_f,
-    min(sum x, ws_max * max_j x_j / ws_j)): the second bound holds entrywise
-    for every term of the series because the walk is reversible. The trace's
-    power_tail_bound is the resulting certified tail (1-alpha)^(t+1) * that
-    minimum, at most epsilon_f, and 0.0 on threshold exit.
+    scores are the transformed estimates ws(u_i)/ws(u) * estimate(u_i). At
+    each round boundary before that, the kernel switches to power iteration
+    on the still-transformed residues x when the round's n_p exceeded 2|E|
+    (one power iteration) times the drop in certified depth that the round
+    bought, or when the paper's budget 2|E| log_{1/(1-alpha)}(gamma / sum x)
+    is spent; the trace's switched_by says which ("cost" or "cap"). The
+    certified depth is required_iterations(alpha, epsilon_f, min(sum x,
+    ws_max * max_j x_j / ws_j)): the second bound holds entrywise for every
+    term of the series because the walk is reversible. The trace's
+    power_tail_bound is the resulting tail (1-alpha)^(t+1) * that minimum,
+    at most epsilon_f, and 0.0 on threshold exit. Its residue_bound is the
+    certified error of the scores: that tail after a switch, lam * max x on
+    threshold exit.
 
     lam must upper-bound every column sum of the hidden walk-score matrix for
     the epsilon_f guarantee (0 <= true - score <= epsilon_f) to hold.
@@ -220,35 +235,53 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
     theta = (ws[source_u] / ws) * (epsilon_f / lam)
     gamma = float((w_ratio * led.residue_u).sum())  # frozen at entry
     n_p_entry = led.n_p
-    log_decay = math.log(1.0 / (1.0 - alpha))
-    budget_scale = 2.0 * g.edge_count
+    ws_max = float(ws.max())
+
+    def tail_mass(mass: float) -> float:
+        # Entrywise, term l of the series from the forward residues x is at
+        # most (1-alpha)^l * sum x and, as the walk is reversible, at most
+        # (1-alpha)^l * ws_max * max_j x_j / ws_j.
+        return min(mass, float(ws_max * led.residue_u.max() / ws[source_u]))
+
+    bound = tail_mass(gamma)
+    depth = required_iterations(alpha, epsilon_f, bound)
+    round_start = led.n_p
+    switched_by = None
 
     def spent() -> bool:
-        wmass = float((w_ratio * led.residue_u).sum())
-        budget = budget_scale * (math.log(gamma / wmass) / log_decay)
-        return led.n_p - n_p_entry >= budget
+        # A power iteration costs 2|E| of n_p: switch once a round's n_p
+        # outweighs the iterations it took off the certified depth. The
+        # paper's budget caps the pushing either way.
+        nonlocal bound, depth, round_start, switched_by
+        mass = float((w_ratio * led.residue_u).sum())
+        bound = tail_mass(mass)
+        prev_depth, depth = depth, required_iterations(alpha, epsilon_f, bound)
+        if led.n_p - round_start > 2 * g.edge_count * (prev_depth - depth):
+            switched_by = "cost"
+        elif _budget_spent(g, alpha, led.n_p - n_p_entry, mass / gamma):
+            switched_by = "cap"
+        round_start = led.n_p
+        return switched_by is not None
 
     sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
-    power_iters = 0
-    tail_bound = 0.0
+    fwd_residue = w_ratio * led.residue_u
     scores = w_ratio * led.estimate
-    if not met:
-        fwd_residue = w_ratio * led.residue_u
-        # Entrywise, term l is at most (1-alpha)^l * mass and, as the walk is
-        # reversible, at most (1-alpha)^l * ws_max * max_j fwd_residue_j / ws_j.
-        spread = float(ws.max() * led.residue_u.max() / ws[source_u])
-        bound = min(float(fwd_residue.sum()), spread)
-        power_iters = required_iterations(alpha, epsilon_f, bound)
-        tail_bound = (1.0 - alpha) ** (power_iters + 1) * bound
-        scores = scores + power_iteration(g, fwd_residue, alpha, power_iters)
     trace = {
         "selective_rounds": sel_rounds,
         "sequential_rounds": 0,
-        "power_iterations": power_iters,
-        "power_tail_bound": tail_bound,
+        "power_iterations": 0,
+        "power_tail_bound": 0.0,
+        # On threshold exit every forward residue is at most epsilon_f / lam,
+        # and lam bounds the column sums of the walk-score matrix.
+        "residue_bound": lam * float(fwd_residue.max()),
         "n_p": led.n_p,
         "gamma": gamma,
     }
+    if not met:
+        tail_bound = (1.0 - alpha) ** (depth + 1) * bound
+        scores = scores + power_iteration(g, fwd_residue, alpha, depth)
+        trace.update(power_iterations=depth, power_tail_bound=tail_bound,
+                     residue_bound=tail_bound, switched_by=switched_by)
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch", scores=scores)
 
 
@@ -258,6 +291,15 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
 def _check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+
+
+def _budget_spent(g, alpha: float, n_p: int, ratio: float) -> bool:
+    """The paper's switch budget: True once n_p reaches 2|E|
+    log_{1/(1-alpha)}(1 / ratio). ratio is the ws-weighted residue mass
+    over its value at the kernel's entry; it starts at 1 and never grows,
+    because a push of residue r at u_i takes alpha * ws(u_i) * r off the
+    weighted mass and moves the rest."""
+    return n_p >= 2.0 * g.edge_count * math.log(1.0 / ratio) / math.log(1.0 / (1.0 - alpha))
 
 
 def _row_slots(indptr, rows, deg):

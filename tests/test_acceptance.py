@@ -103,6 +103,9 @@ def test_criterion_02_backward_estimates_within_eps_b(corpus, query_rng):
             worst = max(worst, float(diff.max()) / eps_b)
             assert diff.min() >= -1e-9
             assert diff.max() <= eps_b
+            # the certificate from the final residues bounds the error
+            assert out.phase_trace["residue_bound"] <= eps_b
+            assert diff.max() <= out.phase_trace["residue_bound"] + 1e-9
     print(f"criterion 2 PASS: backward error at most {worst:.1%} of eps_b")
 
 
@@ -119,6 +122,9 @@ def test_criterion_03_forward_scores_within_eps_f(corpus, query_rng):
             assert diff.min() >= -1e-9
             assert diff.max() <= eps_f
             assert out.phase_trace["power_tail_bound"] <= eps_f
+            # the certificate from the final residues bounds the error
+            assert out.phase_trace["residue_bound"] <= eps_f
+            assert diff.max() <= out.phase_trace["residue_bound"] + 1e-9
     print(f"criterion 3 PASS: forward error at most {worst:.1%} of eps_f")
 
 

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipush import (
     BipartiteGraph,
@@ -20,6 +21,7 @@ from bipush import (
     estimate_mu,
     exact_bhpp,
     exact_hpp,
+    exact_hpp_solve,
     load_meta,
     pi_push,
     required_iterations,
@@ -151,6 +153,35 @@ class TestBhppQuery:
                 diff = truth - res.scores
                 assert diff.min() >= -1e-10
                 assert diff.max() <= eps + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 6.0, 300.0]),
+        st.booleans(),
+        st.sampled_from([1e-3, 1e-5, 1e-7]),
+    )
+    def test_matches_dense_solve_on_hubs_and_wide_weights(self, seed, decades, at_hub, eps):
+        # Skewed graphs queried at their widest hub or at a random node, with
+        # per-edge weights spread over up to 300 decades: weight-sum ratios
+        # near 1e300, close to the float64 range the graph accepts.
+        rng = np.random.default_rng(seed)
+        u_count, v_count = (int(n) for n in rng.integers(5, 80, 2))
+        edges = int(rng.integers(max(u_count, v_count), min(u_count * v_count, 4 * max(u_count, v_count)) + 1))
+        g = synth_bipartite(u_count, v_count, edges, (1.0, 10.0), float(rng.uniform(1.0, 2.5)), seed)
+        w = g.u_weights * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
+        g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_indices, w)
+        q = int(np.argmax(g.deg_u)) if at_hub else int(rng.integers(0, g.u_count))
+        res = bhpp_query(g, build_index_meta(g), q, eps)
+        pi = exact_hpp_solve(g, ALPHA)
+        diff = pi[q, :] + pi[:, q] - res.scores
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps + 1e-12
+        back, fwd = res.phase_trace["backward"], res.phase_trace["forward"]
+        assert back["residue_bound"] <= res.epsilon_b
+        assert fwd["residue_bound"] <= res.epsilon_f
+        if fwd["terminated_by"] == "budget-switch":
+            assert fwd["switched_by"] in ("cost", "cap")
 
     def test_label_and_index_queries_agree(self):
         g = synth_bipartite(25, 20, 120, seed=11)

@@ -137,7 +137,12 @@ class TestQueryTopk:
         trace = json.loads(err)
         assert trace["method"] == "ssbipush"
         assert "phase_trace" in trace and "timing" in trace
-        assert 0.0 <= trace["phase_trace"]["forward"]["power_tail_bound"] <= trace["epsilon_f"]
+        fwd = trace["phase_trace"]["forward"]
+        assert 0.0 <= fwd["power_tail_bound"] <= trace["epsilon_f"]
+        assert 0.0 <= fwd["residue_bound"] <= trace["epsilon_f"]
+        assert 0.0 <= trace["phase_trace"]["backward"]["residue_bound"] <= trace["epsilon_b"]
+        if fwd["terminated_by"] == "budget-switch":
+            assert fwd["switched_by"] in ("cost", "cap")
 
     @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
     @pytest.mark.parametrize("method", ["ssbipush", "pisp", "mcsp"])
@@ -444,6 +449,8 @@ class TestConfigAndErrors:
         assert code == EXIT_USAGE
         assert err.startswith("usage error: ")
         assert "Traceback" not in err
+        # a rejected preprocess writes neither graph.bin nor meta.json
+        assert not (tmp_path / "idx").exists()
 
     def test_unknown_method_is_usage_error(self, index_dir):
         _, _, idx, _ = index_dir

@@ -1,5 +1,7 @@
 """Push kernels: one-sided accuracy, conservation, budgets, determinism."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ import bipush.push_engine as pe
 from bipush import (
     BipartiteGraph,
     ResidueLedger,
+    build_index_meta,
     exact_hpp,
     exact_hpp_solve,
     pi_push,
@@ -35,6 +38,22 @@ def hub_graph(n: int = 50):
     eu = [0] * n + list(range(1, n + 1))
     ev = list(range(n)) + list(range(n))
     return BipartiteGraph(u_labels, v_labels, eu, ev, [1.0] * (2 * n))
+
+
+def heavy_pendant_graph(n: int = 5, heavy: float = 1e6):
+    """A unit-weight K_{n,n} around the target c0, plus one V node that joins
+    c0 to a pendant U node by an edge of weight `heavy`.
+
+    Each push of c0 hands the pendant a residue of about 1/heavy, too small
+    to push, yet a fixed share of the ws-weighted mass. The weighted mass
+    then stops falling while the clique keeps pushing, so the backward
+    budget runs out.
+    """
+    u_labels = [f"c{i}" for i in range(n)] + ["pendant"]
+    v_labels = [f"d{j}" for j in range(n)] + ["link"]
+    eu = [i for i in range(n) for _ in range(n)] + [0, n]
+    ev = [j for _ in range(n) for j in range(n)] + [n, n]
+    return BipartiteGraph(u_labels, v_labels, eu, ev, [1.0] * (n * n + 1) + [heavy])
 
 
 class TestRequiredIterations:
@@ -142,8 +161,9 @@ class TestSelectivePush:
 
 class TestSsPush:
     def test_budget_switch_on_hub_graph(self):
-        # a near-star forces slow selective progress, tripping the budget
-        g = synth_bipartite(60, 60, 400, degree_skew=2.5, seed=2)
+        # a weight hub holds the weighted mass the selective rounds cannot
+        # reach, tripping the budget
+        g = heavy_pendant_graph()
         out = ss_push(g, 0, ALPHA, 1e-7)
         assert out.terminated_by == "budget-switch"
         assert out.phase_trace["sequential_rounds"] > 0
@@ -151,6 +171,19 @@ class TestSsPush:
         diff = ref.pi[:, 0] - out.ledger.estimate
         assert diff.min() >= -1e-11
         assert diff.max() <= 1e-7 + 1e-12
+
+    def test_hub_target_keeps_a_positive_budget(self):
+        # One round from the hub leaves a raw residue mass above 1, where a
+        # budget on log(1 / raw mass) would be negative. The ws-weighted
+        # budget stays positive, so the rounds finish on their thresholds
+        # with the work of plain selective pushing.
+        g = hub_graph(50)
+        masses = []
+        out = ss_push(g, 0, ALPHA, 1e-5, round_hook=lambda ph, r, led: masses.append(led.residue_u.sum()))
+        assert masses[0] > 1.0
+        assert out.terminated_by == "threshold-met"
+        assert out.phase_trace["sequential_rounds"] == 0
+        assert out.ledger.n_p == selective_push(g, 0, ALPHA, 1e-5).ledger.n_p
 
     def test_exit_reasons_are_exhaustive(self):
         rng = np.random.default_rng(8)
@@ -256,20 +289,64 @@ class TestPiPush:
         assert out.phase_trace["gamma"] == pytest.approx(expect, rel=1e-12)
 
     def test_budget_exit_finishes_with_power_iterations(self):
-        # pushing from the hub exhausts the budget; the residue tail is then
-        # folded in with truncated power iterations
-        g = hub_graph(50)
+        # pushing from the hub of a skewed graph stops paying before the
+        # certified depth reaches zero; the residue tail is then folded in
+        # with truncated power iterations
+        g = synth_bipartite(100, 100, 300, (0.0, 10.0), degree_skew=1.2, seed=0)
         ref = exact_hpp(g, ALPHA, tol=1e-14)
         src = 0
         led = ResidueLedger.initial(g, src)
         lam = float(g.ws_u.max() / g.ws_u.min())
-        eps_f = 1e-7
+        eps_f = 1e-4
         out = pi_push(g, src, ALPHA, lam, eps_f, led)
         assert out.terminated_by == "budget-switch"
         assert out.phase_trace["power_iterations"] > 0
         diff = ref.pi[src, :] - out.scores
         assert diff.min() >= -1e-11
         assert diff.max() <= eps_f + 1e-12
+
+    def test_cost_rule_switches_before_the_cap(self):
+        # After a backward phase on a skewed graph, one forward round costs
+        # more than the power iterations it takes off the certified depth, so
+        # the cost rule switches after it; the paper's budget alone would
+        # have run 14 rounds.
+        g = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
+        src, eps = 30, 1e-4
+        lam = build_index_meta(g).lam
+        led = self._seeded(g, src, eps)
+        capped = copy.deepcopy(led)
+        out = pi_push(g, src, ALPHA, lam, eps, led)
+        trace = out.phase_trace
+        assert out.terminated_by == "budget-switch" and trace["switched_by"] == "cost"
+        assert (trace["selective_rounds"], trace["power_iterations"]) == (1, 19)
+
+        w_ratio = g.ws_u / g.ws_u[src]
+        theta = (g.ws_u[src] / g.ws_u) * (eps / lam)
+        gamma, n_p_entry = float(w_ratio @ capped.residue_u), capped.n_p
+
+        def cap_spent():
+            ratio = float(w_ratio @ capped.residue_u) / gamma
+            return pe._budget_spent(g, ALPHA, capped.n_p - n_p_entry, ratio)
+
+        cap_rounds, met = pe._rounds(g, capped, ALPHA, theta, theta, "forward-selective", None, cap_spent)
+        assert not met and cap_rounds == 14
+        diff = exact_hpp_solve(g, ALPHA)[src] - out.scores
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps + 1e-12
+
+    def test_paper_budget_caps_rounds_that_pay(self):
+        # On a dense uniform graph the first forward round takes at least as
+        # many iterations off the certified depth as it costs, so the cost
+        # rule would push on; the paper's budget is spent after it.
+        g = synth_bipartite(100, 100, 2000, (0.0, 10.0), seed=0)
+        src, eps = 99, 1e-3
+        out = pi_push(g, src, ALPHA, build_index_meta(g).lam, eps, self._seeded(g, src, eps))
+        trace = out.phase_trace
+        assert trace["switched_by"] == "cap"
+        assert (trace["selective_rounds"], trace["power_iterations"]) == (1, 4)
+        diff = exact_hpp_solve(g, ALPHA)[src] - out.scores
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -306,6 +383,7 @@ class TestPiPush:
             mass = float((g.ws_u / g.ws_u[src] * out.ledger.residue_u).sum())
             assert trace["power_iterations"] <= required_iterations(ALPHA, eps_f, mass)
             assert 0.0 <= trace["power_tail_bound"] <= eps_f
+            assert trace["switched_by"] in ("cost", "cap")
         else:
             assert trace["power_iterations"] == 0
             assert trace["power_tail_bound"] == 0.0
