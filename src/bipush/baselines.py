@@ -23,6 +23,12 @@ from .push_engine import power_iteration, required_iterations, selective_push
 from .rng import substream
 
 
+# Most walks a run without a deadline may take: about 15 minutes at the
+# 1.1e6 walks/s measured on a 400k-edge graph. A deadline lifts the cap,
+# because it stops the run itself.
+MAX_WALKS = 10**9
+
+
 class DeadlineExceeded(Exception):
     """A walk simulation ran past its deadline."""
 
@@ -105,7 +111,7 @@ def _hop(prob, alias, indptr, indices, deg, cur, rng):
 
 def monte_carlo(
     g: BipartiteGraph,
-    alias: AliasTables,
+    alias: AliasTables | None,
     source_u: int,
     alpha: float,
     epsilon_f: float,
@@ -121,12 +127,21 @@ def monte_carlo(
     weight-proportional draws. Batches use independent named substreams of
     `seed`, so the result is reproducible regardless of batch scheduling.
     `deadline` (time.perf_counter units) is checked between batches.
+    Without one, a walk count over MAX_WALKS raises ValueError before any
+    walk. `alias` None builds the tables after that check.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if not 0 <= source_u < g.u_count:
         raise ValueError(f"node index {source_u} out of range")
     n_walks = mc_walk_count(epsilon_f, p_f, g.u_count)
+    if deadline is None and n_walks > MAX_WALKS:
+        raise ValueError(
+            f"{n_walks} walks exceed the cap of {MAX_WALKS} for a run without a "
+            "deadline; raise epsilon or p_f"
+        )
+    if alias is None:
+        alias = build_alias(g)
     counts = np.zeros(g.u_count, dtype=np.int64)
     done = 0
     batch_index = 0
@@ -153,7 +168,7 @@ def monte_carlo(
 
 def mcsp_query(
     g: BipartiteGraph,
-    alias: AliasTables,
+    alias: AliasTables | None,
     query_u,
     alpha: float,
     epsilon: float,
@@ -164,7 +179,9 @@ def mcsp_query(
     """Walks forward, pushes backward, half the error budget each.
 
     Two-sided guarantee: |true - score| <= epsilon entrywise with probability
-    at least 1 - p_f (walk half two-sided, push half one-sided).
+    at least 1 - p_f (walk half two-sided, push half one-sided). `alias` and
+    `deadline` pass to monte_carlo, which caps the walks of a run with no
+    deadline.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

@@ -7,9 +7,10 @@ forward kernel, and adds the two estimate vectors; with the epsilon split
 eps = eps_b + eps_f the result underestimates the true score by at most eps
 entrywise and never overestimates.
 
-Query-independent quantities (the column-sum bound lam, the density proxy mu
-used to split eps, the graph fingerprint) live in IndexMeta, computed once
-per graph by build_index_meta and persisted as JSON next to the graph cache.
+The index keeps only what a query cannot derive cheaply: the column-sum
+bound lam and the graph fingerprint live in IndexMeta, computed once per
+graph by build_index_meta and persisted as JSON next to the graph cache. The
+epsilon split reads the graph's density proxy at query time.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ META_VERSION = 1
 class IndexMeta:
     """Query-independent per-graph parameters.
 
-    lam upper-bounds every column sum of the hidden walk-score matrix; tau is
-    the probe depth used to compute it; mu is the density proxy feeding the
-    epsilon split. Values no query can run on raise DataError.
+    lam upper-bounds every column sum of the hidden walk-score matrix.
+    Values no query can run on raise DataError.
     """
 
     alpha: float
     lam: float
-    tau: int
-    mu: float
     graph_fingerprint: str
 
     def __post_init__(self):
@@ -48,14 +46,6 @@ class IndexMeta:
             raise DataError(f"index alpha must lie strictly between 0 and 1, got {self.alpha}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise DataError(f"index lambda must be positive and finite, got {self.lam}")
-        if not math.isfinite(self.mu):
-            raise DataError(f"index mu must be finite, got {self.mu}")
-        if self.tau < 0:
-            raise DataError(f"index tau must be nonnegative, got {self.tau}")
-
-    def eps_split_policy(self, epsilon: float) -> float:
-        """Backward share of a query's epsilon."""
-        return choose_eps_b(epsilon, self.mu)
 
     def check_graph(self, g: BipartiteGraph) -> None:
         """Raise DataError unless this metadata was built for graph g."""
@@ -81,9 +71,9 @@ class QueryResult:
     u_labels: list[str] | None = None
 
 
-def default_tau(g: BipartiteGraph, alpha: float, slack: float = 0.05) -> int:
-    """Probe depth keeping the additive tail |U| (1-alpha)^(tau+1) <= slack."""
-    return required_iterations(alpha, slack, float(g.u_count))
+def default_tau(g: BipartiteGraph, alpha: float) -> int:
+    """Probe depth keeping the additive tail |U| (1-alpha)^(tau+1) <= 0.05."""
+    return required_iterations(alpha, 0.05, float(g.u_count))
 
 
 def estimate_lambda(g: BipartiteGraph, alpha: float, tau: int) -> float:
@@ -108,29 +98,22 @@ def estimate_mu(g: BipartiteGraph) -> float:
     return float(min(1.0, max(1e-3, raw)))
 
 
-def choose_eps_b(epsilon: float, mu) -> float:
+def choose_eps_b(epsilon: float, mu: float) -> float:
     """Backward share of the error budget.
 
     Uses eps (1-mu)/(2-mu), clamped into [eps/10, eps/2] so neither direction
-    starves. `mu` may be a density value or a graph (then estimate_mu runs).
+    starves.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if isinstance(mu, BipartiteGraph):
-        mu = estimate_mu(mu)
-    mu = float(mu)
     raw = epsilon * (1.0 - mu) / (2.0 - mu)
     return min(max(raw, epsilon / 10.0), epsilon / 2.0)
 
 
-def build_index_meta(g: BipartiteGraph, alpha: float = 0.15, tau: int | None = None) -> IndexMeta:
-    if tau is None:
-        tau = default_tau(g, alpha)
+def build_index_meta(g: BipartiteGraph, alpha: float = 0.15) -> IndexMeta:
     return IndexMeta(
         alpha=alpha,
-        lam=estimate_lambda(g, alpha, tau),
-        tau=int(tau),
-        mu=estimate_mu(g),
+        lam=estimate_lambda(g, alpha, default_tau(g, alpha)),
         graph_fingerprint=g.fingerprint,
     )
 
@@ -140,8 +123,6 @@ def save_meta(meta: IndexMeta, path) -> None:
         "format_version": META_VERSION,
         "alpha": meta.alpha,
         "lambda": meta.lam,
-        "tau": meta.tau,
-        "mu": meta.mu,
         "graph_fingerprint": meta.graph_fingerprint,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -158,8 +139,6 @@ def load_meta(path) -> IndexMeta:
         fields = dict(
             alpha=float(payload["alpha"]),
             lam=float(payload["lambda"]),
-            tau=int(payload["tau"]),
-            mu=float(payload["mu"]),
             graph_fingerprint=str(payload["graph_fingerprint"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -179,20 +158,15 @@ def resolve_query(g: BipartiteGraph, query_u) -> int:
 def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, round_hook=None) -> QueryResult:
     """Two-way scores for every U node, accurate to epsilon entrywise.
 
-    query_u may be a label or a U index. Raises DataError when the metadata
-    was built for a different graph or the scores come out non-finite,
-    ValueError when the epsilon split leaves no forward budget.
+    query_u may be a label or a U index. epsilon splits into eps_b + eps_f
+    by the graph's density proxy (choose_eps_b). Raises DataError when the
+    metadata was built for a different graph or the scores come out
+    non-finite, ValueError when epsilon or a share of it is not positive.
     """
     meta.check_graph(g)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    q = resolve_query(g, query_u)
-    eps_b = float(meta.eps_split_policy(epsilon))
+    eps_b = choose_eps_b(epsilon, estimate_mu(g))
     eps_f = epsilon - eps_b
-    if eps_b <= 0 or eps_f <= 0:
-        raise ValueError(
-            f"epsilon split ({eps_b}, {eps_f}) must leave both directions positive"
-        )
+    q = resolve_query(g, query_u)
 
     t0 = time.perf_counter()
     back = ss_push(g, q, meta.alpha, eps_b, round_hook)

@@ -115,7 +115,6 @@ _SCHEMAS: dict[str, dict] = {
         "default_weight": (float, None, "weight for two-column lines"),
         "kcore": (int, None, "apply k-core filtering before indexing"),
         "alpha": (float, 0.15, "restart probability"),
-        "tau": (int, None, "probe depth for the column-sum bound"),
         "out_dir": (str, _REQUIRED, "directory for graph.bin and meta.json"),
     },
     "query": {
@@ -313,8 +312,6 @@ def cmd_preprocess(cfg, out, err) -> int:
     # without its meta.json.
     if not 0.0 < cfg.alpha < 1.0:
         raise UsageError(f"--alpha must lie strictly between 0 and 1, got {cfg.alpha}")
-    if cfg.tau is not None and cfg.tau < 0:
-        raise UsageError(f"--tau must be nonnegative, got {cfg.tau}")
     t0 = time.perf_counter()
     g = _load_graph(cfg)
     out_dir = Path(cfg.out_dir)
@@ -322,7 +319,7 @@ def cmd_preprocess(cfg, out, err) -> int:
     # Saving first lets build_index_meta reuse the fingerprint save hashed
     # from the bytes it wrote.
     g.save(out_dir / "graph.bin")
-    meta = build_index_meta(g, alpha=cfg.alpha, tau=cfg.tau)
+    meta = build_index_meta(g, alpha=cfg.alpha)
     build_seconds = time.perf_counter() - t0
     save_meta(meta, out_dir / "meta.json")
     for key, value in (
@@ -331,8 +328,6 @@ def cmd_preprocess(cfg, out, err) -> int:
         ("edge_count", g.edge_count),
         ("alpha", meta.alpha),
         ("lambda", meta.lam),
-        ("mu", meta.mu),
-        ("tau", meta.tau),
         ("build_seconds", round(build_seconds, 6)),
         ("fingerprint", meta.graph_fingerprint),
     ):
@@ -359,8 +354,6 @@ def _answer(method, g, meta, q, eps, p_f, seed, alias=None, deadline=None) -> "Q
         return bhpp_query(g, meta, q, eps)
     if method == "pisp":
         return pisp_query(g, q, meta.alpha, eps)
-    if alias is None:
-        alias = build_alias(g)
     return mcsp_query(g, alias, q, meta.alpha, eps, p_f, seed, deadline=deadline)
 
 

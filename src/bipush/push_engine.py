@@ -41,7 +41,8 @@ chain is reversible with respect to ws (ws_i P_ij = ws_j P_ji), so
 max_j (x P^l)_j / ws_j never grows with l. pi_push switches on cost first:
 a power iteration costs 2|E| of n_p, so it switches at the first round
 boundary where the round's n_p exceeds 2|E| times the drop in certified
-depth that the round bought (the trace's switched_by is "cost"). The
+depth that the round bought, or where that depth is zero, before the first
+round included (the trace's switched_by is "cost"). The
 paper's budget stays as a cap (switched_by "cap"), so its complexity bound
 still holds.
 
@@ -202,7 +203,8 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
     thresholds ws(u)/ws(u_i) * epsilon_f / lam. On threshold exit the forward
     scores are the transformed estimates ws(u_i)/ws(u) * estimate(u_i). At
     each round boundary before that, the kernel switches to power iteration
-    on the still-transformed residues x when the round's n_p exceeded 2|E|
+    on the still-transformed residues x when the certified depth is zero
+    (checked before the first round too) or the round's n_p exceeded 2|E|
     (one power iteration) times the drop in certified depth that the round
     bought, or when the paper's budget 2|E| log_{1/(1-alpha)}(gamma / sum x)
     is spent; the trace's switched_by says which ("cost" or "cap"). The
@@ -256,14 +258,18 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
         mass = float((w_ratio * led.residue_u).sum())
         bound = tail_mass(mass)
         prev_depth, depth = depth, required_iterations(alpha, epsilon_f, bound)
-        if led.n_p - round_start > 2 * g.edge_count * (prev_depth - depth):
+        if depth == 0 or led.n_p - round_start > 2 * g.edge_count * (prev_depth - depth):
             switched_by = "cost"
         elif _budget_spent(g, alpha, led.n_p - n_p_entry, mass / gamma):
             switched_by = "cap"
         round_start = led.n_p
         return switched_by is not None
 
-    sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
+    if depth == 0 and (led.residue_u > theta).any():
+        # No round can take anything off a depth of zero.
+        sel_rounds, met, switched_by = 0, False, "cost"
+    else:
+        sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
     fwd_residue = w_ratio * led.residue_u
     scores = w_ratio * led.estimate
     trace = {

@@ -16,6 +16,7 @@ from bipush import (
     bhpp_query,
     build_alias,
     build_index_meta,
+    default_tau,
     desirability,
     exact_bhpp,
     exact_hpp,
@@ -169,8 +170,9 @@ def test_criterion_06_lambda_bounds_column_sums(corpus):
     for g, ref, meta in corpus[:100]:
         col_max = float(ref.pi.sum(axis=0).max())
         assert meta.lam >= col_max - 1e-10
-        probe = power_iteration(g, np.ones(g.u_count), ALPHA, meta.tau)
-        from_probe = float(probe.max()) + g.u_count * (1 - ALPHA) ** (meta.tau + 1)
+        tau = default_tau(g, ALPHA)
+        probe = power_iteration(g, np.ones(g.u_count), ALPHA, tau)
+        from_probe = float(probe.max()) + g.u_count * (1 - ALPHA) ** (tau + 1)
         from_ratio = float(g.ws_u.max() / g.ws_u.min())
         assert meta.lam <= from_probe + 1e-12
         assert meta.lam <= from_ratio + 1e-12

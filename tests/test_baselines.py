@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import bipush.baselines as baselines
 from bipush import (
     DeadlineExceeded,
     build_alias,
@@ -100,6 +101,22 @@ class TestMonteCarlo:
                 g3, alias, 0, ALPHA, 0.001, 1e-6, seed=8,
                 batch_size=1024, deadline=time.perf_counter(),
             )
+
+    def test_walk_cap_without_deadline(self, g3, monkeypatch):
+        # eps 1e-6 asks for about 2.9e13 walks: refused up front, before any
+        # alias table is built; a deadline lifts the cap and ends the run
+        n = mc_walk_count(1e-6, 1e-6, g3.u_count)
+        assert n > baselines.MAX_WALKS
+
+        def no_tables(g):
+            raise AssertionError("alias tables built for a refused run")
+
+        monkeypatch.setattr(baselines, "build_alias", no_tables)
+        with pytest.raises(ValueError, match=f"{n} walks exceed the cap of {baselines.MAX_WALKS}"):
+            monte_carlo(g3, None, 0, ALPHA, 1e-6, 1e-6, seed=8)
+        with pytest.raises(DeadlineExceeded):
+            monte_carlo(g3, build_alias(g3), 0, ALPHA, 1e-6, 1e-6, seed=8,
+                        batch_size=1024, deadline=time.perf_counter() + 0.05)
 
     def test_rejects_bad_source(self, g3):
         alias = build_alias(g3)

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from bipush import BipartiteGraph
+import bipush.baselines as baselines
+from bipush import BipartiteGraph, mc_walk_count
 from bipush.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -72,6 +73,14 @@ class TestSynthPreprocess:
         assert float(facts["lambda"]) > 0
         assert (idx / "graph.bin").exists()
         assert (idx / "meta.json").exists()
+
+    def test_preprocess_stores_only_what_a_query_cannot_derive(self, index_dir):
+        _, _, idx, out = index_dir
+        meta = json.loads((idx / "meta.json").read_text(encoding="utf-8"))
+        assert set(meta) == {"format_version", "alpha", "lambda", "graph_fingerprint"}
+        keys = [line.split("=", 1)[0] for line in out.strip().splitlines()]
+        assert keys == ["u_count", "v_count", "edge_count", "alpha", "lambda",
+                        "build_seconds", "fingerprint"]
 
     def test_kcore_shrinks_graph(self, index_dir, tmp_path):
         base, graph, _, _ = index_dir
@@ -344,6 +353,7 @@ class TestConfigAndErrors:
         ("query", "--threads", "2"),
         ("preprocess", "--seed", "1"),
         ("preprocess", "--format", "tsv"),
+        ("preprocess", "--tau", "5"),  # the probe depth is not settable
         ("synth", "--format", "tsv"),
         ("synth", "--threads", "2"),
         ("topk", "--format", "xml"),
@@ -361,6 +371,7 @@ class TestConfigAndErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == []  # a rejected command writes nothing
 
     def test_config_key_the_command_does_not_read_is_usage_error(self, index_dir, tmp_path):
         _, _, idx, _ = index_dir
@@ -432,6 +443,7 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv", [
         ("topk", "--k", "0"),
         ("topk", "--epsilon", "0"),
+        ("topk", "--epsilon", "5e-324"),  # its backward share rounds to zero
         ("topk", "--method", "mcsp", "--p-f", "0"),
         ("bench", "--epsilons", "0"),
         ("bench", "--queries", "0"),
@@ -468,18 +480,49 @@ class TestConfigAndErrors:
         assert code == EXIT_OK
 
     def test_invalid_meta_is_data_error(self, index_dir, tmp_path):
-        # a NaN density proxy would split epsilon into NaN and zero every score
+        # a NaN lambda would scale every forward threshold to NaN
         _, _, idx, _ = index_dir
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "graph.bin").write_bytes((idx / "graph.bin").read_bytes())
         payload = json.loads((idx / "meta.json").read_text())
-        payload["mu"] = float("nan")
+        payload["lambda"] = float("nan")
         (bad / "meta.json").write_text(json.dumps(payload))
         code, out, err = run_cli("topk", "--index", str(bad), "--query", "u0")
         assert code == EXIT_DATA
         assert out == ""
-        assert "mu" in err
+        assert "lambda" in err
+
+    @pytest.mark.parametrize("mu", [0.05, float("nan")])
+    def test_legacy_meta_with_mu_and_tau_answers_the_same(self, index_dir, tmp_path, mu):
+        # older indexes also stored the density proxy and the probe depth;
+        # queries derive the first and never need the second
+        _, _, idx, _ = index_dir
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "graph.bin").write_bytes((idx / "graph.bin").read_bytes())
+        payload = json.loads((idx / "meta.json").read_text())
+        payload.update(mu=mu, tau=79)
+        (legacy / "meta.json").write_text(json.dumps(payload))
+        args = ("--query", "u0", "--k", "40", "--epsilon", "1e-5")
+        new = run_cli("topk", "--index", str(idx), *args)
+        assert new[0] == EXIT_OK, new[2]
+        assert run_cli("topk", "--index", str(legacy), *args) == new
+
+    def test_mcsp_over_the_walk_cap_is_usage_error(self, index_dir, monkeypatch):
+        # the default epsilon would need about 1.4e12 walks on 40 nodes; the
+        # query is refused before any alias table is built
+        _, _, idx, _ = index_dir
+
+        def no_tables(g):
+            raise AssertionError("alias tables built for a refused query")
+
+        monkeypatch.setattr(baselines, "build_alias", no_tables)
+        code, out, err = run_cli("topk", "--index", str(idx), "--query", "u0", "--method", "mcsp")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(mc_walk_count(5e-6, 1e-6, 40)) in err
+        assert str(baselines.MAX_WALKS) in err
 
     @pytest.mark.parametrize("method", ["ssbipush", "pisp"])
     def test_stale_index_is_data_error(self, index_dir, tmp_path, method):

@@ -289,12 +289,12 @@ class TestPiPush:
         assert out.phase_trace["gamma"] == pytest.approx(expect, rel=1e-12)
 
     def test_budget_exit_finishes_with_power_iterations(self):
-        # pushing from the hub of a skewed graph stops paying before the
-        # certified depth reaches zero; the residue tail is then folded in
-        # with truncated power iterations
+        # pushing from u6 of a skewed graph stops paying before the certified
+        # depth reaches zero; the residue tail is then folded in with
+        # truncated power iterations
         g = synth_bipartite(100, 100, 300, (0.0, 10.0), degree_skew=1.2, seed=0)
         ref = exact_hpp(g, ALPHA, tol=1e-14)
-        src = 0
+        src = 6
         led = ResidueLedger.initial(g, src)
         lam = float(g.ws_u.max() / g.ws_u.min())
         eps_f = 1e-4
@@ -304,6 +304,42 @@ class TestPiPush:
         diff = ref.pi[src, :] - out.scores
         assert diff.min() >= -1e-11
         assert diff.max() <= eps_f + 1e-12
+
+    @pytest.mark.parametrize("graph, eps_f, rounds, n_p", [
+        # the certified depth falls 1 -> 0 in the last round; one more round
+        # at depth 0 would cost 2|E| and buy nothing
+        (hub_graph(50), 1e-7, 94, 18750),
+        # here the depth would rise 0 -> 3 after one more round
+        (synth_bipartite(100, 100, 300, (0.0, 10.0), degree_skew=1.2, seed=0), 1e-4, 41, 23229),
+    ], ids=["hub", "skew"])
+    def test_switches_once_certified_depth_is_zero(self, graph, eps_f, rounds, n_p):
+        out = pi_push(graph, 0, ALPHA, float(graph.ws_u.max() / graph.ws_u.min()), eps_f,
+                      ResidueLedger.initial(graph, 0))
+        trace = out.phase_trace
+        assert trace["switched_by"] == "cost"
+        assert (trace["selective_rounds"], trace["power_iterations"]) == (rounds, 0)
+        assert out.ledger.n_p == n_p
+        diff = exact_hpp_solve(graph, ALPHA)[0] - out.scores
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps_f + 1e-12
+
+    def test_no_forward_round_at_entry_depth_zero(self):
+        # after the backward phase from the hub of a skewed graph the residue
+        # tail is already certified, so the forward phase pushes nothing
+        g = synth_bipartite(400, 300, 4000, (0.0, 10.0), degree_skew=1.2, seed=21)
+        eps = 1e-4
+        led = self._seeded(g, 0, eps)
+        n_p = led.n_p
+        phases = []
+        out = pi_push(g, 0, ALPHA, build_index_meta(g).lam, eps, led,
+                      round_hook=lambda ph, r, led: phases.append(ph))
+        trace = out.phase_trace
+        assert phases == [] and out.ledger.n_p == n_p
+        assert trace["switched_by"] == "cost"
+        assert (trace["selective_rounds"], trace["power_iterations"]) == (0, 0)
+        diff = exact_hpp_solve(g, ALPHA)[0] - out.scores
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps + 1e-12
 
     def test_cost_rule_switches_before_the_cap(self):
         # After a backward phase on a skewed graph, one forward round costs
