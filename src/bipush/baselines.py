@@ -87,15 +87,21 @@ def mc_walk_count(epsilon_f: float, p_f: float, u_count: int) -> int:
     """Walks needed for entrywise error epsilon_f with failure odds p_f.
 
     Bernstein-style: ceil(2 (1 + epsilon_f/3) ln(u_count / p_f) / epsilon_f^2),
-    floored at one walk.
+    floored at one walk. Raises ValueError when the count overflows a float.
     """
-    if epsilon_f <= 0:
-        raise ValueError("epsilon_f must be positive")
-    if p_f <= 0:
-        raise ValueError("p_f must be positive")
+    if not 0 < epsilon_f < math.inf:
+        raise ValueError("epsilon_f must be positive and finite")
+    if not 0 < p_f < math.inf:
+        raise ValueError("p_f must be positive and finite")
     if u_count < 1:
         raise ValueError("u_count must be at least 1")
-    raw = 2.0 * (1.0 + epsilon_f / 3.0) * math.log(u_count / p_f) / epsilon_f**2
+    try:
+        square = epsilon_f**2
+    except OverflowError:  # epsilon_f above ~1e154 asks for far under one walk
+        return 1
+    raw = 2.0 * (1.0 + epsilon_f / 3.0) * math.log(u_count / p_f) / square if square else math.inf
+    if not raw < math.inf:
+        raise ValueError(f"the walk count for epsilon_f={epsilon_f!r} is too large to compute")
     return max(1, math.ceil(raw))
 
 
@@ -183,8 +189,8 @@ def mcsp_query(
     `deadline` pass to monte_carlo, which caps the walks of a run with no
     deadline.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     q = resolve_query(g, query_u)
     half = epsilon / 2.0
     t0 = time.perf_counter()
@@ -213,8 +219,8 @@ def pisp_query(g: BipartiteGraph, query_u, alpha: float, epsilon: float) -> Quer
 
     One-sided guarantee: 0 <= true - score <= epsilon entrywise.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     q = resolve_query(g, query_u)
     half = epsilon / 2.0
     depth = required_iterations(alpha, half, 1.0)

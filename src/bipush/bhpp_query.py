@@ -104,8 +104,8 @@ def choose_eps_b(epsilon: float, mu: float) -> float:
     Uses eps (1-mu)/(2-mu), clamped into [eps/10, eps/2] so neither direction
     starves.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     raw = epsilon * (1.0 - mu) / (2.0 - mu)
     return min(max(raw, epsilon / 10.0), epsilon / 2.0)
 
@@ -161,7 +161,7 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     query_u may be a label or a U index. epsilon splits into eps_b + eps_f
     by the graph's density proxy (choose_eps_b). Raises DataError when the
     metadata was built for a different graph or the scores come out
-    non-finite, ValueError when epsilon or a share of it is not positive.
+    non-finite, ValueError when epsilon is not positive and finite.
     """
     meta.check_graph(g)
     eps_b = choose_eps_b(epsilon, estimate_mu(g))

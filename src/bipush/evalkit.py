@@ -82,11 +82,11 @@ def split_edges(
     if side == "u":
         strat_deg, strat_of = g.deg_u, eu
         other_deg, other_of = g.deg_v, ev
-        n_strat, n_other = g.u_count, g.v_count
+        n_strat, strat_indptr, strat_indices = g.u_count, g.u_indptr, g.u_indices
     else:
         strat_deg, strat_of = g.deg_v, ev
         other_deg, other_of = g.deg_u, eu
-        n_strat, n_other = g.v_count, g.u_count
+        n_strat, strat_indptr, strat_indices = g.v_count, g.v_indptr, g.v_indices
     if (strat_deg < 2).any():
         i = int(np.flatnonzero(strat_deg < 2)[0])
         lab = (g.u_labels if side == "u" else g.v_labels)[i]
@@ -125,14 +125,13 @@ def split_edges(
     test_strat = strat_of[held]
     test_other = other_of[held]
     pool = np.unique(test_other)
-    neigh = [set() for _ in range(n_strat)]
-    for s, o in zip(strat_of.tolist(), other_of.tolist()):
-        neigh[s].add(o)
     candidates: dict[int, list[int]] = {}
     neg_rng = substream(seed, "negatives", side)
     for node in np.unique(test_strat).tolist():
         positives = sorted(int(x) for x in test_other[test_strat == node])
-        eligible = np.array([o for o in pool.tolist() if o not in neigh[node]], dtype=np.int64)
+        # assume_unique keeps pool's ascending order, which the draws index.
+        nbrs = strat_indices[strat_indptr[node] : strat_indptr[node + 1]]
+        eligible = np.setdiff1d(pool, nbrs, assume_unique=True)
         if negatives and eligible.size:
             take = min(negatives, eligible.size)
             sampled = eligible[neg_rng.choice(eligible.size, size=take, replace=False)]

@@ -18,13 +18,17 @@ given rows of a raw-weight matrix (g.u_adj for the U half, g.v_adj for the V
 half), weighted by the pushed residues, into the other side's residues,
 dividing each receiver's total by its weight sum (g.ws_v, g.ws_u). It
 scatters slot by slot while the pushed rows are a small share of the edges
-and otherwise runs one sparse mat-vec with the matrix's transpose.
+and otherwise gathers them in one sparse mat-vec through the receiving
+side's own CSR (g.v_adj for the U half, g.u_adj for the V half), which sums
+in the same order as the transpose would.
 
 Every kernel runs the same loop of thresholded rounds, `_rounds`, which stops
 when no U residue exceeds its threshold or when the kernel's switch rule
-says so. Both budgeted kernels share the paper's budget: thresholded pushing
-has stopped paying for itself once n_p (degree sum of every node pushed so
-far) reaches 2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the
+says so. It asks both before every round, the first included, so no round
+pushes nothing and a kernel met at entry runs none. Both budgeted kernels
+share the paper's budget: thresholded pushing has stopped paying for itself
+once n_p (degree sum of every node pushed so far) exceeds
+2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the
 ws-weighted residue mass sum_i ws(u_i) r(u_i) over its value at entry. The
 ratio starts at 1 and never grows, so the budget is never negative, hub
 targets included. ss_push then switches to sequential rounds that push
@@ -39,12 +43,11 @@ depth t is certified from the residues at the switch: the dropped tail
 The first factor is the L1 bound; the second holds because the two-hop
 chain is reversible with respect to ws (ws_i P_ij = ws_j P_ji), so
 max_j (x P^l)_j / ws_j never grows with l. pi_push switches on cost first:
-a power iteration costs 2|E| of n_p, so it switches at the first round
-boundary where the round's n_p exceeds 2|E| times the drop in certified
-depth that the round bought, or where that depth is zero, before the first
-round included (the trace's switched_by is "cost"). The
-paper's budget stays as a cap (switched_by "cap"), so its complexity bound
-still holds.
+a power iteration costs 2|E| of n_p, so before each round it switches once
+the last round's n_p exceeded 2|E| times the drop in certified depth that
+round bought, or once that depth is zero, at entry included (the trace's
+switched_by is "cost"). The paper's budget stays as a cap (switched_by
+"cap"), so its complexity bound still holds.
 
 Cost model: every push adds the pushed node's degree to n_p, and the
 kernels' actual work is proportional to n_p. Rounds run over the whole
@@ -83,15 +86,6 @@ class ResidueLedger:
         r_u = np.zeros(g.u_count)
         r_u[target_u] = 1.0
         return cls(r_u, np.zeros(g.v_count), np.zeros(g.u_count), 0)
-
-    def active_u(self, threshold) -> np.ndarray:
-        """U nodes whose residue strictly exceeds the threshold (scalar or
-        per-node vector). Sorted, duplicate-free by construction."""
-        return np.flatnonzero(self.residue_u > threshold)
-
-    def active_v(self) -> np.ndarray:
-        """V nodes holding positive residue. Sorted, duplicate-free."""
-        return np.flatnonzero(self.residue_v > 0.0)
 
 
 @dataclass
@@ -201,16 +195,16 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
 
     Continues pushing the seed ledger (mutating it) under per-node residue
     thresholds ws(u)/ws(u_i) * epsilon_f / lam. On threshold exit the forward
-    scores are the transformed estimates ws(u_i)/ws(u) * estimate(u_i). At
-    each round boundary before that, the kernel switches to power iteration
-    on the still-transformed residues x when the certified depth is zero
-    (checked before the first round too) or the round's n_p exceeded 2|E|
-    (one power iteration) times the drop in certified depth that the round
-    bought, or when the paper's budget 2|E| log_{1/(1-alpha)}(gamma / sum x)
-    is spent; the trace's switched_by says which ("cost" or "cap"). The
-    certified depth is required_iterations(alpha, epsilon_f, min(sum x,
-    ws_max * max_j x_j / ws_j)): the second bound holds entrywise for every
-    term of the series because the walk is reversible. The trace's
+    scores are the transformed estimates ws(u_i)/ws(u) * estimate(u_i).
+    Before every round, the first included, the kernel switches to power
+    iteration on the still-transformed residues x when the certified depth
+    is zero or the last round's n_p exceeded 2|E| (one power iteration)
+    times the drop in certified depth that round bought, or when the paper's
+    budget 2|E| log_{1/(1-alpha)}(gamma / sum x) is spent; the trace's
+    switched_by says which ("cost" or "cap"). The certified depth is
+    required_iterations(alpha, epsilon_f, min(sum x, ws_max * max_j x_j /
+    ws_j)): the second bound holds entrywise for every term of the series
+    because the walk is reversible. The trace's
     power_tail_bound is the resulting tail (1-alpha)^(t+1) * that minimum,
     at most epsilon_f, and 0.0 on threshold exit. Its residue_bound is the
     certified error of the scores: that tail after a switch, lam * max x on
@@ -251,9 +245,10 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
     switched_by = None
 
     def spent() -> bool:
-        # A power iteration costs 2|E| of n_p: switch once a round's n_p
-        # outweighs the iterations it took off the certified depth. The
-        # paper's budget caps the pushing either way.
+        # A power iteration costs 2|E| of n_p: switch once the last round's
+        # n_p outweighs the iterations it took off the certified depth, or
+        # no round can take any off. The paper's budget caps the pushing
+        # either way.
         nonlocal bound, depth, round_start, switched_by
         mass = float((w_ratio * led.residue_u).sum())
         bound = tail_mass(mass)
@@ -265,11 +260,7 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
         round_start = led.n_p
         return switched_by is not None
 
-    if depth == 0 and (led.residue_u > theta).any():
-        # No round can take anything off a depth of zero.
-        sel_rounds, met, switched_by = 0, False, "cost"
-    else:
-        sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
+    sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
     fwd_residue = w_ratio * led.residue_u
     scores = w_ratio * led.estimate
     trace = {
@@ -300,12 +291,13 @@ def _check_alpha(alpha):
 
 
 def _budget_spent(g, alpha: float, n_p: int, ratio: float) -> bool:
-    """The paper's switch budget: True once n_p reaches 2|E|
+    """The paper's switch budget: True once n_p exceeds 2|E|
     log_{1/(1-alpha)}(1 / ratio). ratio is the ws-weighted residue mass
     over its value at the kernel's entry; it starts at 1 and never grows,
     because a push of residue r at u_i takes alpha * ws(u_i) * r off the
-    weighted mass and moves the rest."""
-    return n_p >= 2.0 * g.edge_count * math.log(1.0 / ratio) / math.log(1.0 / (1.0 - alpha))
+    weighted mass and moves the rest. At entry the budget is 0 and so is
+    n_p, so the rule lets the first round run."""
+    return n_p > 2.0 * g.edge_count * math.log(1.0 / ratio) / math.log(1.0 / (1.0 - alpha))
 
 
 def _row_slots(indptr, rows, deg):
@@ -319,42 +311,38 @@ def _row_slots(indptr, rows, deg):
 def _rounds(g, led: ResidueLedger, alpha: float, push_above, stop_at, phase: str,
             round_hook=None, spent=None) -> tuple[int, bool]:
     """Run rounds that push U residues above `push_above` until no residue
-    exceeds `stop_at` (returns rounds, True) or, at a round boundary, the
-    budget rule `spent()` fires (returns rounds, False)."""
+    exceeds `stop_at` (returns rounds, True) or the switch rule `spent()`
+    fires (returns rounds, False). Both are asked before every round, the
+    first included, so a run met at entry runs no round, and as push_above
+    never exceeds stop_at, every round that runs pushes."""
     rounds = 0
-    while True:
-        rounds += _round(g, led, push_above, alpha)
-        if round_hook is not None:
-            round_hook(phase, rounds, led)
-        if not (led.residue_u > stop_at).any():
-            return rounds, True
+    while (led.residue_u > stop_at).any():
         if spent is not None and spent():
             return rounds, False
+        _round(g, led, push_above, alpha)
+        rounds += 1
+        if round_hook is not None:
+            round_hook(phase, rounds, led)
+    return rounds, True
 
 
-def _round(g, led: ResidueLedger, threshold, alpha: float) -> int:
+def _round(g, led: ResidueLedger, threshold, alpha: float) -> None:
     """One boundary-to-boundary round: push over-threshold U nodes, then
-    flush all positive V residues. Returns 1 if any work happened."""
-    worked = 0
-    uidx = led.active_u(threshold)
-    if uidx.size:
-        amounts = led.residue_u[uidx]
-        led.n_p += _push_rows(g.u_adj, g.deg_u, uidx, amounts, led.residue_v, 1.0 - alpha, g.ws_v)
-        led.estimate[uidx] += alpha * amounts
-        led.residue_u[uidx] = 0.0
-        worked = 1
-    vidx = led.active_v()
-    if vidx.size:
-        led.n_p += _push_rows(g.v_adj, g.deg_v, vidx, led.residue_v[vidx], led.residue_u, 1.0, g.ws_u)
-        led.residue_v[:] = 0.0
-        worked = 1
-    return worked
+    flush all positive V residues."""
+    uidx = np.flatnonzero(led.residue_u > threshold)
+    amounts = led.residue_u[uidx]
+    led.n_p += _push_rows(g.u_adj, g.v_adj, g.deg_u, uidx, amounts, led.residue_v, 1.0 - alpha, g.ws_v)
+    led.estimate[uidx] += alpha * amounts
+    led.residue_u[uidx] = 0.0
+    vidx = np.flatnonzero(led.residue_v > 0.0)
+    led.n_p += _push_rows(g.v_adj, g.u_adj, g.deg_v, vidx, led.residue_v[vidx], led.residue_u, 1.0, g.ws_u)
+    led.residue_v[:] = 0.0
 
 
-def _push_rows(mat, deg, rows, amounts, out, scale: float, ws) -> int:
+def _push_rows(mat, mat_t, deg, rows, amounts, out, scale: float, ws) -> int:
     """out += scale * (sum_k amounts[k] * mat[rows[k], :]) / ws, with ws the
-    receivers' weight sums; returns the degree sum of the pushed rows (their
-    n_p)."""
+    receivers' weight sums and mat_t the CSR of mat's transpose (the other
+    side's matrix); returns the degree sum of the pushed rows (their n_p)."""
     deg_sum = int(deg[rows].sum())
     if deg_sum <= _SCATTER_LIMIT * mat.nnz:
         slots = _row_slots(mat.indptr, rows, deg)
@@ -363,5 +351,5 @@ def _push_rows(mat, deg, rows, amounts, out, scale: float, ws) -> int:
     else:
         dense = np.zeros(mat.shape[0])
         dense[rows] = amounts
-        out += scale * (mat.T @ dense) / ws
+        out += scale * (mat_t @ dense) / ws
     return deg_sum

@@ -40,6 +40,32 @@ class TestWalkCount:
     def test_at_least_one_walk(self):
         assert mc_walk_count(10.0, 0.5, 2) >= 1
 
+    @pytest.mark.parametrize("eps", [1e154, 1e155, 1e200, 1e300, 1.7976931348623157e308])
+    def test_huge_epsilon_takes_one_walk(self, eps):
+        # eps^2 overflows a float from about 1.34e154 on
+        assert mc_walk_count(eps, 1e-6, 40) == 1
+
+    def test_count_is_an_int_or_refused_by_name(self):
+        # down to about 1e-154 the count is a (huge) int; below, it
+        # overflows a float and the refusal names epsilon_f
+        assert isinstance(mc_walk_count(1e-150, 1e-6, 40), int)
+        for eps in (1e-154, 1e-160, 1e-300, 5e-324, float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="epsilon_f"):
+                mc_walk_count(eps, 1e-6, 40)
+        for p_f in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="p_f must be positive and finite"):
+                mc_walk_count(0.1, p_f, 40)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_queries_refuse_a_non_finite_epsilon(self, eps):
+        g = synth_bipartite(15, 15, 60, seed=14)
+        meta = build_index_meta(g)
+        for run in (lambda: bhpp_query(g, meta, 0, eps),
+                    lambda: pisp_query(g, 0, ALPHA, eps),
+                    lambda: mcsp_query(g, None, 0, ALPHA, eps)):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                run()
+
 
 class TestAliasTables:
     def test_sampling_matches_weights(self):

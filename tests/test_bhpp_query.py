@@ -24,6 +24,7 @@ from bipush import (
     exact_hpp_solve,
     load_meta,
     pi_push,
+    pisp_query,
     required_iterations,
     save_meta,
     ss_push,
@@ -270,25 +271,42 @@ class TestBhppQuery:
 
 
 # sha256 over the scores, phase_trace and (epsilon_b, epsilon_f) of the
-# queries in TestBitIdentity. A change that moves any of them re-pins this
-# value and says why in CHANGES.md.
+# bhpp_query answers in TestBitIdentity, and over the scores and phase_trace
+# of pisp_query on the same queries. A change that moves any of them re-pins
+# its value and says why in CHANGES.md.
 PINNED_DIGEST = "265aab9d03ec93e4313e2c1c8fba213fd97b59798d9c263ed18dd47a4204f5d4"
+PINNED_PISP_DIGEST = "ef2fa903548fe9fab3e116b94dceae3f74651bfb4214d4bbbd47f345659cf2af"
+
+
+def _pinned_queries():
+    """(graph, meta, query, epsilon) on a uniform and a skew-1.2 graph."""
+    for skew, extra in ((None, [(1, 1e-1)]), (1.2, [])):
+        g = synth_bipartite(400, 300, 4000, (0.0, 10.0), degree_skew=skew, seed=21)
+        meta = build_index_meta(g)
+        for q, eps in extra + [(q, e) for q in (1, 7, 99) for e in (1e-2, 1e-4, 1e-6)]:
+            yield g, meta, q, eps
 
 
 class TestBitIdentity:
     def test_scores_traces_and_split_are_pinned(self):
-        # uniform and skew-1.2 graphs; the forward phase exits on its
-        # thresholds once and by the cost rule after one or two rounds
+        # the forward phase exits on its thresholds once and by the cost
+        # rule after one or two rounds
         h = hashlib.sha256()
-        for skew, extra in ((None, [(1, 1e-1)]), (1.2, [])):
-            g = synth_bipartite(400, 300, 4000, (0.0, 10.0), degree_skew=skew, seed=21)
-            meta = build_index_meta(g)
-            for q, eps in extra + [(q, e) for q in (1, 7, 99) for e in (1e-2, 1e-4, 1e-6)]:
-                r = bhpp_query(g, meta, q, eps)
-                h.update(r.scores.tobytes())
-                h.update(json.dumps(r.phase_trace, sort_keys=True).encode())
-                h.update(repr((r.epsilon_b, r.epsilon_f)).encode())
+        for g, meta, q, eps in _pinned_queries():
+            r = bhpp_query(g, meta, q, eps)
+            h.update(r.scores.tobytes())
+            h.update(json.dumps(r.phase_trace, sort_keys=True).encode())
+            h.update(repr((r.epsilon_b, r.epsilon_f)).encode())
         assert h.hexdigest() == PINNED_DIGEST
+
+    def test_pisp_scores_and_traces_are_pinned(self):
+        # pisp's backward half runs the same rounds and push primitive
+        h = hashlib.sha256()
+        for g, meta, q, eps in _pinned_queries():
+            r = pisp_query(g, q, meta.alpha, eps)
+            h.update(r.scores.tobytes())
+            h.update(json.dumps(r.phase_trace, sort_keys=True).encode())
+        assert h.hexdigest() == PINNED_PISP_DIGEST
 
 
 class TestTopk:

@@ -125,10 +125,11 @@ class TestDerivedMatrices:
         g = random_bigraph(rng, 25, 20, 4.0)
         for limit in (10.0, -1.0):  # always scatter, always mat-vec
             monkeypatch.setattr(pe, "_SCATTER_LIMIT", limit)
-            for mat, deg, ws in ((g.u_adj, g.deg_u, g.ws_v), (g.v_adj, g.deg_v, g.ws_u)):
+            for mat, mat_t, deg, ws in ((g.u_adj, g.v_adj, g.deg_u, g.ws_v),
+                                        (g.v_adj, g.u_adj, g.deg_v, g.ws_u)):
                 for row in range(mat.shape[0]):
                     out = np.zeros(mat.shape[1])
-                    pe._push_rows(mat, deg, np.array([row]), np.array([1.0]), out, 1.0, ws)
+                    pe._push_rows(mat, mat_t, deg, np.array([row]), np.array([1.0]), out, 1.0, ws)
                     nbrs = mat.indices[mat.indptr[row] : mat.indptr[row + 1]]
                     expect = np.zeros(mat.shape[1])
                     expect[nbrs] = mat.data[mat.indptr[row] : mat.indptr[row + 1]] / ws[nbrs]

@@ -524,6 +524,39 @@ class TestConfigAndErrors:
         assert str(mc_walk_count(5e-6, 1e-6, 40)) in err
         assert str(baselines.MAX_WALKS) in err
 
+    @pytest.mark.parametrize("argv", [
+        *[("topk", "--method", m, "--epsilon", e)
+          for m in ("ssbipush", "mcsp", "pisp") for e in ("nan", "inf")],
+        # half of each is the walk half; its count overflows a float
+        ("topk", "--method", "mcsp", "--epsilon", "1e-160"),
+        ("topk", "--method", "mcsp", "--epsilon", "1e-300"),
+        ("bench", "--methods", "mcsp", "--epsilons", "1e-160"),
+        ("bench", "--methods", "ssbipush,pisp,mcsp", "--epsilons", "nan"),
+    ], ids=" ".join)
+    def test_epsilon_out_of_range_is_usage_error(self, index_dir, argv):
+        # refused with a message naming epsilon, no traceback and no output
+        _, _, idx, _ = index_dir
+        query = ("--query", "u0") if argv[0] == "topk" else ()
+        code, out, err = run_cli(*argv, "--index", str(idx), *query)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ") and "epsilon" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", ["1e155", "1e200", "1e300"])
+    def test_mcsp_at_a_huge_epsilon_takes_one_walk(self, index_dir, eps):
+        # epsilon_f squared overflows a float; the bound asks for one walk
+        _, _, idx, _ = index_dir
+        code, out, err = run_cli("topk", "--index", str(idx), "--query", "u0",
+                                 "--method", "mcsp", "--epsilon", eps, "--verbose")
+        assert code == EXIT_OK, err
+        assert len(out.splitlines()) == 10
+        assert json.loads(err)["phase_trace"]["forward"]["n_walks"] == 1
+        code, out, err = run_cli("bench", "--index", str(idx), "--methods", "mcsp",
+                                 "--epsilons", eps, "--queries", "3")
+        assert code == EXIT_OK, err
+        assert parse_tsv(out)[0]["n"] == 3
+
     @pytest.mark.parametrize("method", ["ssbipush", "pisp"])
     def test_stale_index_is_data_error(self, index_dir, tmp_path, method):
         # metadata from one graph must not answer queries on another

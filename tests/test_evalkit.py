@@ -23,6 +23,7 @@ from bipush import (
     synth_bipartite,
 )
 from bipush.evalkit import desirability_row
+from bipush.rng import substream
 from conftest import random_bigraph
 
 
@@ -127,6 +128,33 @@ class TestSplitEdges:
             for item in pool:
                 if item not in held[node]:
                     assert (node, item) not in original
+
+    @pytest.mark.parametrize("skew", [None, 1.2])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_candidates_match_a_set_based_reference(self, skew, side):
+        # per node: held-out positives in ascending order, then negatives
+        # drawn with the split's own substream from the held-out other-side
+        # nodes that are not its neighbours in the original graph, ascending
+        g = k_core_filter(synth_bipartite(300, 250, 3000, (0.0, 10.0), degree_skew=skew, seed=5), 2)
+        split = split_edges(g, 0.2, seed=5, side=side, negatives=20)
+        eu = np.repeat(np.arange(g.u_count), g.deg_u).tolist()
+        ev = g.u_indices.tolist()
+        strat, other = (eu, ev) if side == "u" else (ev, eu)
+        neigh = {}
+        for s, o in zip(strat, other):
+            neigh.setdefault(s, set()).add(o)
+        held = {}
+        for a, b, _ in split.test:
+            s, o = (a, b) if side == "u" else (b, a)
+            held.setdefault(s, []).append(o)
+        pool = sorted({o for items in held.values() for o in items})
+        rng = substream(5, "negatives", side)
+        expect = {}
+        for node in sorted(held):
+            eligible = [o for o in pool if o not in neigh[node]]
+            picks = rng.choice(len(eligible), size=min(20, len(eligible)), replace=False)
+            expect[node] = sorted(held[node]) + [eligible[i] for i in picks]
+        assert split.candidates == expect
 
     def test_v_side_stratification(self):
         rng = np.random.default_rng(9)

@@ -452,3 +452,54 @@ class TestPiPush:
         pi_push(g, 4, ALPHA, 5.0, 1e-4, led)
         assert (led.estimate - before).min() >= 0.0
         assert led.estimate.sum() > before.sum()
+
+
+class TestLoopContract:
+    def test_hook_runs_once_per_round_and_never_for_no_round(self):
+        # Every switch rule is asked before each round, so every round
+        # pushes (n_p strictly grows from its value at kernel entry), the
+        # hook's round numbers count 1, 2, ... per phase up to the trace's
+        # round count, and a run met at entry neither runs nor reports one.
+        hub = hub_graph(50)
+        skew = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
+        seeded = ss_push(skew, 30, ALPHA, 1e-4).ledger
+        lam = build_index_meta(skew).lam
+        runs = [
+            (selective_push, (skew, 0, ALPHA, 1e-6), 0,
+             {"selective": "selective_rounds"}),
+            (ss_push, (heavy_pendant_graph(), 0, ALPHA, 1e-7), 0,
+             {"selective": "selective_rounds", "sequential": "sequential_rounds"}),
+            (pi_push, (hub, 0, ALPHA, 50.0, 1e-7, ResidueLedger.initial(hub, 0)), 0,
+             {"forward-selective": "selective_rounds"}),
+            (pi_push, (skew, 30, ALPHA, lam, 1e-4, seeded), seeded.n_p,
+             {"forward-selective": "selective_rounds"}),
+        ]
+        for kernel, args, n_p_entry, phases in runs:
+            calls = []
+            out = kernel(*args, round_hook=lambda ph, r, led: calls.append((ph, r, led.n_p)))
+            n_p = [n_p_entry] + [c[2] for c in calls]
+            assert all(later > earlier for earlier, later in zip(n_p, n_p[1:]))
+            for phase, key in phases.items():
+                rounds = [r for ph, r, _ in calls if ph == phase]
+                assert rounds == list(range(1, out.phase_trace[key] + 1))
+            assert {ph for ph, _, _ in calls} <= set(phases)
+            assert out.phase_trace["selective_rounds"] > 0
+        assert out.phase_trace["switched_by"] == "cost"
+
+        calls = []
+
+        def hook(*args):
+            calls.append(args)
+
+        out = selective_push(skew, 0, ALPHA, 2.0, round_hook=hook)
+        assert out.phase_trace["selective_rounds"] == 0 and out.ledger.n_p == 0
+        # forward thresholds at twice the largest transformed residue
+        led = ss_push(skew, 3, ALPHA, 1e-3).ledger
+        w_ratio = skew.ws_u / skew.ws_u[3]
+        eps_f = 2.0 * lam * float((w_ratio * led.residue_u).max())
+        n_p, estimate = led.n_p, led.estimate.copy()
+        out = pi_push(skew, 3, ALPHA, lam, eps_f, led, round_hook=hook)
+        assert out.terminated_by == "threshold-met"
+        assert out.phase_trace["selective_rounds"] == 0 and led.n_p == n_p
+        np.testing.assert_array_equal(out.scores, w_ratio * estimate)
+        assert calls == []
