@@ -87,12 +87,13 @@ def mc_walk_count(epsilon_f: float, p_f: float, u_count: int) -> int:
     """Walks needed for entrywise error epsilon_f with failure odds p_f.
 
     Bernstein-style: ceil(2 (1 + epsilon_f/3) ln(u_count / p_f) / epsilon_f^2),
-    floored at one walk. Raises ValueError when the count overflows a float.
+    floored at one walk. Raises ValueError when the count overflows a float
+    or p_f lies outside (0, 1).
     """
     if not 0 < epsilon_f < math.inf:
         raise ValueError("epsilon_f must be positive and finite")
-    if not 0 < p_f < math.inf:
-        raise ValueError("p_f must be positive and finite")
+    if not 0 < p_f < 1:
+        raise ValueError("p_f must lie strictly between 0 and 1")
     if u_count < 1:
         raise ValueError("u_count must be at least 1")
     try:

@@ -198,7 +198,13 @@ def topk(result: QueryResult, k: int, exclude_query: bool = False) -> list[tuple
     """Top-k (label, score) pairs, scores descending, ties by ascending index."""
     if k <= 0:
         raise ValueError("k must be positive")
-    order = np.argsort(-result.scores, kind="stable")
+    neg = -result.scores
+    # Only entries at or below the m-th smallest of neg can place. `not >`
+    # keeps NaNs too, which the stable sort then puts last, as a full sort
+    # would.
+    m = min(k + bool(exclude_query), neg.size)
+    cand = np.flatnonzero(~(neg > np.partition(neg, m - 1)[m - 1]))
+    order = cand[np.argsort(neg[cand], kind="stable")]
     if exclude_query:
         order = order[order != result.query_index]
     order = order[:k]

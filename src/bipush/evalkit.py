@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from .baselines import build_alias, mcsp_query
 from .bhpp_query import IndexMeta, bhpp_query, build_index_meta
 from .bigraph import BipartiteGraph, DataError
-from .push_engine import power_iteration
 from .rng import substream
 
 

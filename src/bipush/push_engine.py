@@ -38,11 +38,16 @@ the two-hop chain: backward residues and estimates convert to forward ones
 through the weight-sum ratio ws(u_i)/ws(u), so it continues pushing the
 seed ledger under per-node thresholds ws(u)/ws(u_i) * eps_f/lambda, and on
 a switch finishes the transformed residues x with power iterations. Their
-depth t is certified from the residues at the switch: the dropped tail
-(1-alpha)^(t+1) * min(sum x, ws_max * max_j x_j / ws_j) is at most eps_f.
-The first factor is the L1 bound; the second holds because the two-hop
-chain is reversible with respect to ws (ws_i P_ij = ws_j P_ji), so
-max_j (x P^l)_j / ws_j never grows with l. pi_push switches on cost first:
+depth is certified twice. A priori, from the residues at the switch: the
+smallest t whose dropped tail (1-alpha)^(t+1) * min(sum x, ws_max *
+max_j x_j / ws_j) is at most eps_f. The first factor is the L1 bound; the
+second holds because the two-hop chain is reversible with respect to ws
+(ws_i P_ij = ws_j P_ji), so max_j (x P^l)_j / ws_j never grows with l. A
+posteriori, from the iterate z_t = x P^t itself: the same tail with z_t in
+place of x, which is valid at every t and only tightens. The iterations stop
+at the first t whose a-posteriori tail is at most eps_f, checked before the
+first one too, and never run past the a-priori depth, which keeps the
+paper's complexity bound. pi_push switches on cost first:
 a power iteration costs 2|E| of n_p, so before each round it switches once
 the last round's n_p exceeded 2|E| times the drop in certified depth that
 round bought, or once that depth is zero, at entry included (the trace's
@@ -129,9 +134,14 @@ def power_iteration(g, start: np.ndarray, alpha: float, t: int) -> np.ndarray:
         raise ValueError("start vector length must match the U side")
     acc = base.copy()
     for _ in range(int(t)):
-        mid = g.v_adj @ (acc / g.ws_u)
-        acc = base + (1.0 - alpha) * (g.u_adj @ (mid / g.ws_v))
+        acc = base + (1.0 - alpha) * _two_hop(g, acc)
     return alpha * acc
+
+
+def _two_hop(g, z: np.ndarray) -> np.ndarray:
+    """z P for the hidden U-to-U walk: one hop to V and one back, each
+    dividing by the sending side's weight sums."""
+    return g.u_adj @ ((g.v_adj @ (z / g.ws_u)) / g.ws_v)
 
 
 def selective_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -> PushOutcome:
@@ -204,11 +214,14 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
     switched_by says which ("cost" or "cap"). The certified depth is
     required_iterations(alpha, epsilon_f, min(sum x, ws_max * max_j x_j /
     ws_j)): the second bound holds entrywise for every term of the series
-    because the walk is reversible. The trace's
-    power_tail_bound is the resulting tail (1-alpha)^(t+1) * that minimum,
-    at most epsilon_f, and 0.0 on threshold exit. Its residue_bound is the
-    certified error of the scores: that tail after a switch, lam * max x on
-    threshold exit.
+    because the walk is reversible. That a-priori depth is the trace's
+    depth_cap; the power iterations stop earlier, at the first t (0
+    included) where the tail read off the iterate z_t = x P^t,
+    (1-alpha)^(t+1) * min(sum x, ws_max * max_j z_t[j] / ws_j), is at most
+    epsilon_f. The trace's power_iterations is that t and power_tail_bound
+    that tail, or 0 and 0.0 on threshold exit (depth_cap is 0 then). Its
+    residue_bound is the certified error of the scores: that tail after a
+    switch, lam * max x on threshold exit.
 
     lam must upper-bound every column sum of the hidden walk-score matrix for
     the epsilon_f guarantee (0 <= true - score <= epsilon_f) to hold.
@@ -267,6 +280,7 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
         "selective_rounds": sel_rounds,
         "sequential_rounds": 0,
         "power_iterations": 0,
+        "depth_cap": 0,
         "power_tail_bound": 0.0,
         # On threshold exit every forward residue is at most epsilon_f / lam,
         # and lam bounds the column sums of the walk-score matrix.
@@ -275,10 +289,20 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
         "gamma": gamma,
     }
     if not met:
-        tail_bound = (1.0 - alpha) ** (depth + 1) * bound
-        scores = scores + power_iteration(g, fwd_residue, alpha, depth)
-        trace.update(power_iterations=depth, power_tail_bound=tail_bound,
-                     residue_bound=tail_bound, switched_by=switched_by)
+        # Sum alpha * (1-alpha)^t * z_t over z_t = x P^t until the tail read
+        # off z_t is certified. As max_j z_t[j] / ws_j never grows with t,
+        # min(bound, .) is min(sum x, .), and the a-priori depth, certified
+        # from z_0, caps the loop.
+        z, total, t = fwd_residue, fwd_residue.copy(), 0
+        tail = (1.0 - alpha) * bound
+        while t < depth and tail > epsilon_f:
+            z = _two_hop(g, z)
+            t += 1
+            total += (1.0 - alpha) ** t * z
+            tail = (1.0 - alpha) ** (t + 1) * min(bound, ws_max * float((z / ws).max()))
+        scores = scores + alpha * total
+        trace.update(power_iterations=t, depth_cap=depth, power_tail_bound=tail,
+                     residue_bound=tail, switched_by=switched_by)
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch", scores=scores)
 
 

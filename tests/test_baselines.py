@@ -52,9 +52,16 @@ class TestWalkCount:
         for eps in (1e-154, 1e-160, 1e-300, 5e-324, float("nan"), float("inf"), 0.0):
             with pytest.raises(ValueError, match="epsilon_f"):
                 mc_walk_count(eps, 1e-6, 40)
-        for p_f in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="p_f must be positive and finite"):
-                mc_walk_count(0.1, p_f, 40)
+
+    @pytest.mark.parametrize("p_f", [0.0, -0.5, 1.0, 2.0, float("nan"), float("inf")])
+    def test_p_f_must_lie_strictly_between_0_and_1(self, p_f):
+        # at p_f >= 1 the log term ln(n / p_f) shrinks and the guarantee
+        # would hold with probability 1 - p_f <= 0
+        with pytest.raises(ValueError, match="p_f must lie strictly between 0 and 1"):
+            mc_walk_count(0.1, p_f, 40)
+        g = synth_bipartite(15, 15, 60, seed=14)
+        with pytest.raises(ValueError, match="p_f"):
+            mcsp_query(g, None, 0, ALPHA, 0.1, p_f=p_f)
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_queries_refuse_a_non_finite_epsilon(self, eps):

@@ -274,7 +274,7 @@ class TestBhppQuery:
 # bhpp_query answers in TestBitIdentity, and over the scores and phase_trace
 # of pisp_query on the same queries. A change that moves any of them re-pins
 # its value and says why in CHANGES.md.
-PINNED_DIGEST = "265aab9d03ec93e4313e2c1c8fba213fd97b59798d9c263ed18dd47a4204f5d4"
+PINNED_DIGEST = "efeb80bc232773c75e2b11f81bf5b41990a47654acc798bab5924cc2c0582c1c"
 PINNED_PISP_DIGEST = "ef2fa903548fe9fab3e116b94dceae3f74651bfb4214d4bbbd47f345659cf2af"
 
 
@@ -342,6 +342,30 @@ class TestTopk:
             u_labels=["a", "b", "c", "d"],
         )
         assert [lab for lab, _ in topk(res, 4)] == ["a", "b", "c", "d"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, 1.0, float("nan")]),
+                 min_size=1, max_size=30),
+        st.data(),
+        st.booleans(),
+    )
+    def test_selection_matches_a_full_stable_sort(self, values, data, exclude_query):
+        # heavy ties at the cut, k past |U| and NaNs included
+        from bipush import QueryResult
+
+        scores = np.array(values)
+        n = scores.size
+        k = data.draw(st.integers(1, n + 2))
+        q = data.draw(st.integers(0, n - 1))
+        res = QueryResult("x", q, scores, 1e-3, 5e-4, 5e-4, {}, {}, None)
+        order = np.argsort(-scores, kind="stable")
+        if exclude_query:
+            order = order[order != q]
+        want = [str(i) for i in order[:k].tolist()]
+        got = topk(res, k, exclude_query)
+        assert [lab for lab, _ in got] == want
+        np.testing.assert_array_equal([s for _, s in got], scores[order[:k]])
 
     def test_k_larger_than_graph_is_clipped(self):
         g = synth_bipartite(5, 5, 25, seed=17)

@@ -543,6 +543,23 @@ class TestConfigAndErrors:
         assert err.startswith("usage error: ") and "epsilon" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        (cmd, *method, "--p-f", p_f)
+        for cmd, method in (("topk", ("--method", "mcsp")), ("query", ("--method", "mcsp")),
+                            ("bench", ("--methods", "ssbipush,mcsp")))
+        for p_f in ("1", "2")
+    ], ids=" ".join)
+    def test_p_f_of_one_or_more_is_usage_error(self, index_dir, argv):
+        # refused with a message naming p_f, no traceback and no output
+        _, _, idx, _ = index_dir
+        one = ("--query", "u0", "--epsilon", "0.1")
+        given = {"topk": one, "query": one, "bench": ("--epsilons", "0.1", "--queries", "3")}[argv[0]]
+        code, out, err = run_cli(*argv, "--index", str(idx), *given)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ") and "p_f" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("eps", ["1e155", "1e200", "1e300"])
     def test_mcsp_at_a_huge_epsilon_takes_one_walk(self, index_dir, eps):
         # epsilon_f squared overflows a float; the bound asks for one walk

@@ -345,7 +345,8 @@ class TestPiPush:
         # After a backward phase on a skewed graph, one forward round costs
         # more than the power iterations it takes off the certified depth, so
         # the cost rule switches after it; the paper's budget alone would
-        # have run 14 rounds.
+        # have run 14 rounds. The iterates certify the tail 5 iterations
+        # before the a-priori depth.
         g = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
         src, eps = 30, 1e-4
         lam = build_index_meta(g).lam
@@ -354,7 +355,7 @@ class TestPiPush:
         out = pi_push(g, src, ALPHA, lam, eps, led)
         trace = out.phase_trace
         assert out.terminated_by == "budget-switch" and trace["switched_by"] == "cost"
-        assert (trace["selective_rounds"], trace["power_iterations"]) == (1, 19)
+        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (1, 14, 19)
 
         w_ratio = g.ws_u / g.ws_u[src]
         theta = (g.ws_u[src] / g.ws_u) * (eps / lam)
@@ -442,6 +443,51 @@ class TestPiPush:
         diff = power_iteration(g, start, ALPHA, 300) - out.scores
         assert diff.min() >= -1e-12
         assert diff.max() <= eps_f
+
+    @pytest.mark.parametrize("eps_f", [1e-3, 1e-5, 1e-7])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["identity", "seeded"])
+    @pytest.mark.parametrize("skew", [None, 1.2], ids=["uniform", "skew"])
+    def test_power_iterations_stop_on_their_own_certificate(self, skew, seeded, eps_f):
+        # The finish stops at the first t whose tail, read off the iterate
+        # z_t = x P^t, is at most eps_f, and never runs past the a-priori
+        # depth certified from x; z_t is recomputed here from a dense P.
+        g = synth_bipartite(300, 300, 1500, (0.0, 10.0), degree_skew=skew, seed=4)
+        exact = exact_hpp_solve(g, ALPHA)
+        lam = build_index_meta(g).lam
+        w = g.u_adj.toarray()
+        p = (w / g.ws_u[:, None]) @ (w.T / g.ws_v[:, None])
+        ws, ws_max = g.ws_u, float(g.ws_u.max())
+        for src in (0, 7, 150):
+            led = self._seeded(g, src, eps_f) if seeded else ResidueLedger.initial(g, src)
+            out = pi_push(g, src, ALPHA, lam, eps_f, led)
+            trace = out.phase_trace
+            diff = exact[src] - out.scores
+            assert diff.min() >= -1e-12
+            assert diff.max() <= eps_f + 1e-12
+            assert trace["power_iterations"] <= trace["depth_cap"]
+            assert trace["power_tail_bound"] <= eps_f
+            if out.terminated_by == "threshold-met":
+                assert (trace["power_iterations"], trace["depth_cap"]) == (0, 0)
+                continue
+            x = ws / ws[src] * out.ledger.residue_u
+            bound = min(float(x.sum()), float(ws_max * out.ledger.residue_u.max() / ws[src]))
+            assert trace["depth_cap"] == required_iterations(ALPHA, eps_f, bound)
+            z, t = x, 0
+            while t < trace["depth_cap"] and (1 - ALPHA) ** (t + 1) * min(bound, ws_max * (z / ws).max()) > eps_f:
+                z, t = z @ p, t + 1
+            assert trace["power_iterations"] == t
+            assert trace["residue_bound"] == trace["power_tail_bound"]
+
+    def test_certificate_stops_below_the_cap(self):
+        # On a uniform graph the iterates mix fast: the tail read off them is
+        # certified well before the depth certified from the residues.
+        g = synth_bipartite(300, 300, 1500, (0.0, 10.0), seed=4)
+        src, eps_f = 7, 1e-7
+        out = pi_push(g, src, ALPHA, build_index_meta(g).lam, eps_f, ResidueLedger.initial(g, src))
+        trace = out.phase_trace
+        assert out.terminated_by == "budget-switch"
+        assert (trace["power_iterations"], trace["depth_cap"]) == (21, 26)
+        assert trace["power_tail_bound"] <= eps_f
 
     def test_backward_estimates_keep_growing(self):
         # forward pushes still credit alpha-fractions to the same ledger
