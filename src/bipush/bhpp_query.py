@@ -2,15 +2,16 @@
 
 The score of node u_i for query u is the sum of the forward walk score
 (walks from u landing on u_i) and the backward one (walks from u_i landing
-on u). A query runs the budgeted backward kernel, hands its ledger to the
-forward kernel, and adds the two estimate vectors; with the epsilon split
-eps = eps_b + eps_f the result underestimates the true score by at most eps
-entrywise and never overestimates.
+on u). The two-hop walk is reversible, ws_i pi_i(u) = ws_u pi_u(i), so the
+backward score is the forward one times ws_u / ws_i and one vector answers
+a query: pi_push computes the forward scores and certifies their error
+together with its reflection, and the query scales them by 1 + ws_u / ws_i.
+The result underestimates the true score by at most epsilon entrywise and
+never overestimates.
 
 The index keeps only what a query cannot derive cheaply: the column-sum
 bound lam and the graph fingerprint live in IndexMeta, computed once per
-graph by build_index_meta and persisted as JSON next to the graph cache. The
-epsilon split reads the graph's density proxy at query time.
+graph by build_index_meta and persisted as JSON next to the graph cache.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .bigraph import BipartiteGraph, DataError
-from .push_engine import pi_push, power_iteration, required_iterations, ss_push
+from .push_engine import pi_push, power_iteration, required_iterations
 
 META_VERSION = 1
 
@@ -92,24 +93,6 @@ def estimate_lambda(g: BipartiteGraph, alpha: float, tau: int) -> float:
     return min(from_probe, from_ratio)
 
 
-def estimate_mu(g: BipartiteGraph) -> float:
-    """Density proxy sqrt(|U||V|)/|E| clamped into [1e-3, 1]."""
-    raw = math.sqrt(g.u_count * g.v_count) / g.edge_count
-    return float(min(1.0, max(1e-3, raw)))
-
-
-def choose_eps_b(epsilon: float, mu: float) -> float:
-    """Backward share of the error budget.
-
-    Uses eps (1-mu)/(2-mu), clamped into [eps/10, eps/2] so neither direction
-    starves.
-    """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
-    raw = epsilon * (1.0 - mu) / (2.0 - mu)
-    return min(max(raw, epsilon / 10.0), epsilon / 2.0)
-
-
 def build_index_meta(g: BipartiteGraph, alpha: float = 0.15) -> IndexMeta:
     return IndexMeta(
         alpha=alpha,
@@ -158,38 +141,38 @@ def resolve_query(g: BipartiteGraph, query_u) -> int:
 def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, round_hook=None) -> QueryResult:
     """Two-way scores for every U node, accurate to epsilon entrywise.
 
-    query_u may be a label or a U index. epsilon splits into eps_b + eps_f
-    by the graph's density proxy (choose_eps_b). Raises DataError when the
-    metadata was built for a different graph or the scores come out
-    non-finite, ValueError when epsilon is not positive and finite.
+    query_u may be a label or a U index. One pi_push answers the query; its
+    trace's backward_bound becomes the backward phase's residue_bound, and
+    that phase does no work of its own. Raises DataError when the metadata
+    was built for a different graph or the scores come out non-finite,
+    ValueError when epsilon (or its half) is not positive and finite.
     """
     meta.check_graph(g)
-    eps_b = choose_eps_b(epsilon, estimate_mu(g))
-    eps_f = epsilon - eps_b
     q = resolve_query(g, query_u)
 
     t0 = time.perf_counter()
-    back = ss_push(g, q, meta.alpha, eps_b, round_hook)
+    fwd = pi_push(g, q, meta.alpha, meta.lam, epsilon, round_hook)
+    scores = fwd.scores * (1.0 + g.ws_u[q] / g.ws_u)
     t1 = time.perf_counter()
-    fwd = pi_push(g, q, meta.alpha, meta.lam, eps_f, back.ledger, round_hook)
-    t2 = time.perf_counter()
-    # pi_push kept settling the shared ledger, so back.ledger.estimate holds
-    # the final backward scores.
-    scores = fwd.scores + back.ledger.estimate
     if not np.isfinite(scores).all():
         raise DataError(f"query {q} produced non-finite scores; the graph's weights are out of range")
+    forward = {**fwd.phase_trace, "terminated_by": fwd.terminated_by}
+    backward = {
+        "selective_rounds": 0,
+        "sequential_rounds": 0,
+        "residue_bound": forward.pop("backward_bound"),
+        "n_p": 0,
+        "terminated_by": fwd.terminated_by,
+    }
     return QueryResult(
         method="ssbipush",
         query_index=q,
         scores=scores,
         epsilon=epsilon,
-        epsilon_b=eps_b,
-        epsilon_f=eps_f,
-        timing={"backward": t1 - t0, "forward": t2 - t1, "total": t2 - t0},
-        phase_trace={
-            "backward": {**back.phase_trace, "terminated_by": back.terminated_by},
-            "forward": {**fwd.phase_trace, "terminated_by": fwd.terminated_by},
-        },
+        epsilon_b=epsilon / 2.0,
+        epsilon_f=epsilon / 2.0,
+        timing={"backward": 0.0, "forward": t1 - t0, "total": t1 - t0},
+        phase_trace={"backward": backward, "forward": forward},
         u_labels=g.u_labels,
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -388,6 +389,10 @@ def cmd_topk(cfg, out, err) -> int:
 def cmd_bench(cfg, out, err) -> int:
     if cfg.queries < 1:
         raise UsageError("--queries must be positive")
+    # A deadline also lifts the walk cap, so the cell budget below, at most
+    # timeout * queries, must be one that can pass.
+    if not 0.0 < cfg.timeout * cfg.queries < math.inf:
+        raise UsageError("--timeout must be positive and --timeout times --queries finite")
     g, meta = _load_index(cfg.index)
     _check_methods(cfg.methods, METHODS)
     rng = substream(cfg.seed, "bench-queries")
@@ -474,6 +479,8 @@ _EVAL_COLUMNS = ["method", "k", "metric", "mean", "stddev", "n"]
 
 
 def cmd_eval_qr(cfg, out, err) -> int:
+    if cfg.queries < 1:
+        raise UsageError("--queries must be positive")
     _check_methods(cfg.methods, EVAL_METHODS)
     g = _load_graph(cfg)
     rows = qr_ndcg_eval(
@@ -493,6 +500,8 @@ def cmd_eval_qr(cfg, out, err) -> int:
 
 
 def cmd_eval_rec(cfg, out, err) -> int:
+    if cfg.users < 1:
+        raise UsageError("--users must be positive")
     _check_methods(cfg.methods, EVAL_METHODS)
     g = _load_graph(cfg)
     rows = rec_eval(

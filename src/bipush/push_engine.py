@@ -28,29 +28,33 @@ says so. It asks both before every round, the first included, so no round
 pushes nothing and a kernel met at entry runs none. Both budgeted kernels
 share the paper's budget: thresholded pushing has stopped paying for itself
 once n_p (degree sum of every node pushed so far) exceeds
-2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the
-ws-weighted residue mass sum_i ws(u_i) r(u_i) over its value at entry. The
-ratio starts at 1 and never grows, so the budget is never negative, hub
-targets included. ss_push then switches to sequential rounds that push
-every positive residue. pi_push reuses the loop to answer the forward
-question "where does a walk from u land", exploiting the reversibility of
-the two-hop chain: backward residues and estimates convert to forward ones
-through the weight-sum ratio ws(u_i)/ws(u), so it continues pushing the
-seed ledger under per-node thresholds ws(u)/ws(u_i) * eps_f/lambda, and on
-a switch finishes the transformed residues x with power iterations. Their
-depth is certified twice. A priori, from the residues at the switch: the
-smallest t whose dropped tail (1-alpha)^(t+1) * min(sum x, ws_max *
-max_j x_j / ws_j) is at most eps_f. The first factor is the L1 bound; the
-second holds because the two-hop chain is reversible with respect to ws
-(ws_i P_ij = ws_j P_ji), so max_j (x P^l)_j / ws_j never grows with l. A
-posteriori, from the iterate z_t = x P^t itself: the same tail with z_t in
-place of x, which is valid at every t and only tightens. The iterations stop
-at the first t whose a-posteriori tail is at most eps_f, checked before the
-first one too, and never run past the a-priori depth, which keeps the
-paper's complexity bound. pi_push switches on cost first:
-a power iteration costs 2|E| of n_p, so before each round it switches once
-the last round's n_p exceeded 2|E| times the drop in certified depth that
-round bought, or once that depth is zero, at entry included (the trace's
+2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the ws-weighted residue
+mass sum_i ws(u_i) r(u_i) over its value at entry. The ratio starts at 1
+and never grows, so the budget is never negative, hub targets included.
+ss_push then switches to sequential rounds that push every positive
+residue.
+
+pi_push answers a two-way query with one ledger. The two-hop chain is
+reversible with respect to ws (ws_i P_ij = ws_j P_ji), so ws(u_i) pi_i(u) =
+ws(u) pi_u(i): backward residues and estimates convert to forward ones
+through the ratio ws(u_i)/ws(u), and the backward scores are the forward
+ones scaled by ws(u)/ws(u_i), their error included. pi_push pushes the
+unit ledger at u under per-node thresholds that hold each half of the error
+to eps/2 on a threshold exit, and on a switch finishes the transformed
+residues x with power iterations. The tail they drop is certified twice,
+for both halves together. A priori, from the residues at the switch: the
+smallest t whose dropped tail (1-alpha)^(t+1) * (min(sum x, ws_max *
+max_j x_j / ws_j) + ws(u) * max_j x_j / ws_j) is at most eps. The first
+term bounds the forward half (the L1 bound, and max_j (x P^l)_j / ws_j
+never grows with l as the walk is reversible), the second its reflection.
+A posteriori, from the iterate z_t = x P^t itself: the same tail with z_t
+in place of x, which is valid at every t and only tightens. The iterations
+stop at the first t whose a-posteriori tail is at most eps, checked before
+the first one too, and never run past the a-priori depth, which keeps the
+paper's complexity bound. pi_push switches on cost first: a power
+iteration costs 2|E| of n_p, so before each round it switches once the last
+round's n_p exceeded 2|E| times the drop in a-priori depth that round
+bought, or once that depth is zero, at entry included (the trace's
 switched_by is "cost"). The paper's budget stays as a cap (switched_by
 "cap"), so its complexity bound still holds.
 
@@ -200,61 +204,45 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch")
 
 
-def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_ledger: ResidueLedger, round_hook=None) -> PushOutcome:
-    """Forward scores for source_u from a flushed backward ledger.
+def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_hook=None) -> PushOutcome:
+    """Forward scores for source_u, certified together with their reflection.
 
-    Continues pushing the seed ledger (mutating it) under per-node residue
-    thresholds ws(u)/ws(u_i) * epsilon_f / lam. On threshold exit the forward
-    scores are the transformed estimates ws(u_i)/ws(u) * estimate(u_i).
-    Before every round, the first included, the kernel switches to power
-    iteration on the still-transformed residues x when the certified depth
-    is zero or the last round's n_p exceeded 2|E| (one power iteration)
-    times the drop in certified depth that round bought, or when the paper's
-    budget 2|E| log_{1/(1-alpha)}(gamma / sum x) is spent; the trace's
-    switched_by says which ("cost" or "cap"). The certified depth is
-    required_iterations(alpha, epsilon_f, min(sum x, ws_max * max_j x_j /
-    ws_j)): the second bound holds entrywise for every term of the series
-    because the walk is reversible. That a-priori depth is the trace's
-    depth_cap; the power iterations stop earlier, at the first t (0
-    included) where the tail read off the iterate z_t = x P^t,
-    (1-alpha)^(t+1) * min(sum x, ws_max * max_j z_t[j] / ws_j), is at most
-    epsilon_f. The trace's power_iterations is that t and power_tail_bound
-    that tail, or 0 and 0.0 on threshold exit (depth_cap is 0 then). Its
-    residue_bound is the certified error of the scores: that tail after a
-    switch, lam * max x on threshold exit.
+    Pushes the unit ledger at source_u under per-node residue thresholds
+    min(eps/2, ws(u)/ws(u_i) * (eps/2) / lam), then, unless the thresholds
+    were met, finishes with power iterations (see the module docstring for
+    the switch rule and the tail bound). The trace's residue_bound certifies
+    the forward scores (0 <= true - score <= residue_bound) and its
+    backward_bound the backward ones read off them; the two sum to at most
+    epsilon. On threshold exit they are lam * max x and max r, each at most
+    eps/2, x being the transformed residues ws(u_i)/ws(u) * r(u_i). After a
+    switch (switched_by "cost" or "cap") they are the halves of the tail
+    read off the last iterate, power_tail_bound is their sum,
+    power_iterations the iterations run, and depth_cap the a-priori depth.
 
-    lam must upper-bound every column sum of the hidden walk-score matrix for
-    the epsilon_f guarantee (0 <= true - score <= epsilon_f) to hold.
+    lam must upper-bound every column sum of the hidden walk-score matrix.
     """
     _check_alpha(alpha)
-    if epsilon_f <= 0:
-        raise ValueError("epsilon_f must be positive")
+    half = epsilon / 2.0
+    if not 0.0 < half < math.inf:
+        raise ValueError("epsilon must be positive and finite, and so must its half")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if not 0 <= source_u < g.u_count:
-        raise ValueError(f"node index {source_u} out of range")
-    led = seed_ledger
-    if (led.residue_v != 0.0).any():
-        raise ValueError(
-            "unflushed ledger: V-side residues must be zero at the forward handoff"
-        )
+    led = ResidueLedger.initial(g, source_u)
 
     ws = g.ws_u
-    w_ratio = ws / ws[source_u]
-    theta = (ws[source_u] / ws) * (epsilon_f / lam)
-    gamma = float((w_ratio * led.residue_u).sum())  # frozen at entry
-    n_p_entry = led.n_p
+    ws_src = float(ws[source_u])
+    w_ratio = ws / ws_src
+    theta = np.minimum(half, (ws_src / ws) * (half / lam))
     ws_max = float(ws.max())
+    mass = 1.0  # sum x
 
-    def tail_mass(mass: float) -> float:
-        # Entrywise, term l of the series from the forward residues x is at
-        # most (1-alpha)^l * sum x and, as the walk is reversible, at most
-        # (1-alpha)^l * ws_max * max_j x_j / ws_j.
-        return min(mass, float(ws_max * led.residue_u.max() / ws[source_u]))
+    def halves(m: float) -> tuple[float, float]:
+        # The forward and backward bounds on one term of the series, over
+        # its (1-alpha)^l.
+        return min(mass, ws_max * m), ws_src * m
 
-    bound = tail_mass(gamma)
-    depth = required_iterations(alpha, epsilon_f, bound)
-    round_start = led.n_p
+    depth = required_iterations(alpha, epsilon, sum(halves(1.0 / ws_src)))
+    round_start = 0
     switched_by = None
 
     def spent() -> bool:
@@ -262,47 +250,50 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon_f: float, seed_l
         # n_p outweighs the iterations it took off the certified depth, or
         # no round can take any off. The paper's budget caps the pushing
         # either way.
-        nonlocal bound, depth, round_start, switched_by
+        nonlocal mass, depth, round_start, switched_by
         mass = float((w_ratio * led.residue_u).sum())
-        bound = tail_mass(mass)
-        prev_depth, depth = depth, required_iterations(alpha, epsilon_f, bound)
+        prev_depth = depth
+        depth = required_iterations(alpha, epsilon, sum(halves(float(led.residue_u.max()) / ws_src)))
         if depth == 0 or led.n_p - round_start > 2 * g.edge_count * (prev_depth - depth):
             switched_by = "cost"
-        elif _budget_spent(g, alpha, led.n_p - n_p_entry, mass / gamma):
+        elif _budget_spent(g, alpha, led.n_p, mass):
             switched_by = "cap"
         round_start = led.n_p
         return switched_by is not None
 
     sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
-    fwd_residue = w_ratio * led.residue_u
+    x = w_ratio * led.residue_u
     scores = w_ratio * led.estimate
+    r_max = float(led.residue_u.max())
     trace = {
         "selective_rounds": sel_rounds,
         "sequential_rounds": 0,
         "power_iterations": 0,
         "depth_cap": 0,
         "power_tail_bound": 0.0,
-        # On threshold exit every forward residue is at most epsilon_f / lam,
-        # and lam bounds the column sums of the walk-score matrix.
-        "residue_bound": lam * float(fwd_residue.max()),
+        # lam bounds the column sums of the walk-score matrix; its rows sum
+        # to 1.
+        "residue_bound": lam * float(x.max()),
+        "backward_bound": r_max,
         "n_p": led.n_p,
-        "gamma": gamma,
     }
     if not met:
         # Sum alpha * (1-alpha)^t * z_t over z_t = x P^t until the tail read
         # off z_t is certified. As max_j z_t[j] / ws_j never grows with t,
-        # min(bound, .) is min(sum x, .), and the a-priori depth, certified
-        # from z_0, caps the loop.
-        z, total, t = fwd_residue, fwd_residue.copy(), 0
-        tail = (1.0 - alpha) * bound
-        while t < depth and tail > epsilon_f:
+        # its value at the switch caps it, and the a-priori depth, certified
+        # from that value, caps the loop.
+        m_cap = r_max / ws_src
+        z, total, t = x, x.copy(), 0
+        fwd_tail, back_tail = ((1.0 - alpha) * h for h in halves(m_cap))
+        while t < depth and fwd_tail + back_tail > epsilon:
             z = _two_hop(g, z)
             t += 1
             total += (1.0 - alpha) ** t * z
-            tail = (1.0 - alpha) ** (t + 1) * min(bound, ws_max * float((z / ws).max()))
+            decay = (1.0 - alpha) ** (t + 1)
+            fwd_tail, back_tail = (decay * h for h in halves(min(m_cap, float((z / ws).max()))))
         scores = scores + alpha * total
-        trace.update(power_iterations=t, depth_cap=depth, power_tail_bound=tail,
-                     residue_bound=tail, switched_by=switched_by)
+        trace.update(power_iterations=t, depth_cap=depth, power_tail_bound=fwd_tail + back_tail,
+                     residue_bound=fwd_tail, backward_bound=back_tail, switched_by=switched_by)
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch", scores=scores)
 
 

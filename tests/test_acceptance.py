@@ -12,7 +12,6 @@ import pytest
 
 from bipush import (
     DeadlineExceeded,
-    ResidueLedger,
     bhpp_query,
     build_alias,
     build_index_meta,
@@ -86,7 +85,11 @@ def test_criterion_01_two_way_scores_within_epsilon(corpus, query_rng):
             worst_hi = max(worst_hi, float(diff.max()) / eps)
             assert diff.min() >= -1e-9
             assert diff.max() <= eps
-            assert res.phase_trace["forward"]["power_tail_bound"] <= res.epsilon_f
+            # the certificate, both halves of one vector, bounds the error
+            bound = (res.phase_trace["backward"]["residue_bound"]
+                     + res.phase_trace["forward"]["residue_bound"])
+            assert bound <= eps
+            assert diff.max() <= bound + 1e-9
     print(
         f"criterion 1 PASS: {CORPUS_SIZE} graphs x {len(EPSILONS)} epsilons, "
         f"undershoot floor {worst_lo:.2e}, worst error {worst_hi:.1%} of eps"
@@ -116,8 +119,7 @@ def test_criterion_03_forward_scores_within_eps_f(corpus, query_rng):
         src = int(query_rng.integers(0, g.u_count))
         row = ref.pi[src, :]
         for eps_f in (1e-3, 1e-5):
-            led = ResidueLedger.initial(g, src)
-            out = pi_push(g, src, ALPHA, meta.lam, eps_f, led)
+            out = pi_push(g, src, ALPHA, meta.lam, eps_f)
             diff = row - out.scores
             worst = max(worst, float(diff.max()) / eps_f)
             assert diff.min() >= -1e-9
@@ -162,6 +164,11 @@ def test_criterion_05_weight_scaled_symmetry(corpus):
         gap = float(np.abs(scaled - scaled.T).max())
         worst = max(worst, gap)
         assert gap <= 1e-9
+        # hence the two-way score is one row scaled: pi[u, :] + pi[:, u] =
+        # pi[u, :] * (1 + ws_u / ws)
+        for u in range(g.u_count):
+            two_way = ref.pi[u, :] + ref.pi[:, u]
+            np.testing.assert_allclose(ref.pi[u, :] * (1.0 + g.ws_u[u] / g.ws_u), two_way, rtol=1e-12, atol=0)
     print(f"criterion 5 PASS: 100 graphs, worst symmetry gap {worst:.2e}")
 
 

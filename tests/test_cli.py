@@ -146,10 +146,10 @@ class TestQueryTopk:
         trace = json.loads(err)
         assert trace["method"] == "ssbipush"
         assert "phase_trace" in trace and "timing" in trace
-        fwd = trace["phase_trace"]["forward"]
-        assert 0.0 <= fwd["power_tail_bound"] <= trace["epsilon_f"]
-        assert 0.0 <= fwd["residue_bound"] <= trace["epsilon_f"]
-        assert 0.0 <= trace["phase_trace"]["backward"]["residue_bound"] <= trace["epsilon_b"]
+        fwd, back = trace["phase_trace"]["forward"], trace["phase_trace"]["backward"]
+        assert 0.0 <= fwd["power_tail_bound"] <= trace["epsilon"]
+        assert fwd["residue_bound"] >= 0.0 and back["residue_bound"] >= 0.0
+        assert fwd["residue_bound"] + back["residue_bound"] <= trace["epsilon"]
         if fwd["terminated_by"] == "budget-switch":
             assert fwd["switched_by"] in ("cost", "cap")
 
@@ -228,13 +228,32 @@ class TestBench:
         _, _, idx, _ = index_dir
         code, out, err = run_cli(
             "bench", "--index", str(idx), "--methods", "mcsp",
-            "--epsilons", "1e-4", "--queries", "3", "--timeout", "0",
+            "--epsilons", "1e-4", "--queries", "3", "--timeout", "1e-9",
             "--format", "json-lines",
         )
         assert code == EXIT_TIMEOUT
         rows = [json.loads(ln) for ln in out.strip().splitlines()]
         assert rows[0]["excluded"] is True
         assert rows[0]["mean_s"] is None
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e308"])
+    def test_timeout_not_positive_and_finite_is_usage_error(self, index_dir, timeout, monkeypatch):
+        # a deadline lifts the walk cap, and one that never passes would
+        # start an uncapped run; it is refused before any alias table. At
+        # 1e308 the budget for 3 queries overflows to inf.
+        _, _, idx, _ = index_dir
+
+        def no_tables(g):
+            raise AssertionError("alias tables built for a refused run")
+
+        monkeypatch.setattr("bipush.cli.build_alias", no_tables)
+        code, out, err = run_cli(
+            "bench", "--index", str(idx), "--methods", "mcsp", "--epsilons", "1e-7",
+            "--queries", "3", "--timeout", timeout,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ") and "--timeout" in err
 
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -316,6 +335,20 @@ class TestEvalCommands:
         assert code == EXIT_OK, err
         rows = [json.loads(ln) for ln in out.strip().splitlines()]
         assert {r["metric"] for r in rows} == {"precision", "recall"}
+
+    @pytest.mark.parametrize("argv", [
+        (cmd, flag, n) for cmd, flag in (("eval-qr", "--queries"), ("eval-rec", "--users"))
+        for n in ("0", "-1")
+    ], ids=" ".join)
+    def test_no_queries_is_usage_error(self, index_dir, argv):
+        # refused like bench --queries, not answered with NaN rows or a
+        # numpy error
+        _, graph, _, _ = index_dir
+        code, out, err = run_cli(*argv, "--graph", str(graph), "--methods", "jaccard")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ") and argv[1] in err
+        assert "Traceback" not in err
 
 
 class TestConfigAndErrors:
@@ -443,7 +476,7 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv", [
         ("topk", "--k", "0"),
         ("topk", "--epsilon", "0"),
-        ("topk", "--epsilon", "5e-324"),  # its backward share rounds to zero
+        ("topk", "--epsilon", "5e-324"),  # its half rounds to zero
         ("topk", "--method", "mcsp", "--p-f", "0"),
         ("bench", "--epsilons", "0"),
         ("bench", "--queries", "0"),

@@ -1,7 +1,5 @@
 """Push kernels: one-sided accuracy, conservation, budgets, determinism."""
 
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,15 +243,17 @@ class TestDualPathEquivalence:
 
 
 class TestPiPush:
-    def _seeded(self, g, source, eps_b):
-        out = ss_push(g, source, ALPHA, eps_b)
-        return out.ledger
-
-    def test_requires_flushed_ledger(self, g3):
-        led = ResidueLedger.initial(g3, 0)
-        led.residue_v[0] = 0.5
-        with pytest.raises(ValueError, match="unflushed"):
-            pi_push(g3, 0, ALPHA, 2.0, 1e-3, led)
+    @staticmethod
+    def _check(g, src, out, exact=None):
+        """Forward scores within residue_bound of the truth, their reflection
+        within backward_bound, and the two bounds within the query's eps."""
+        pi = exact_hpp_solve(g, ALPHA) if exact is None else exact
+        trace = out.phase_trace
+        fwd = pi[src, :] - out.scores
+        back = pi[:, src] - out.scores * (g.ws_u[src] / g.ws_u)
+        assert fwd.min() >= -1e-12 and back.min() >= -1e-12
+        assert fwd.max() <= trace["residue_bound"] + 1e-12
+        assert back.max() <= trace["backward_bound"] + 1e-12
 
     def test_forward_scores_one_sided_from_identity_seed(self):
         rng = np.random.default_rng(13)
@@ -262,141 +262,108 @@ class TestPiPush:
             ref = exact_hpp(g, ALPHA, tol=1e-14)
             src = int(rng.integers(0, g.u_count))
             lam = float(g.ws_u.max() / g.ws_u.min())
-            for eps_f in (1e-3, 1e-5):
-                led = ResidueLedger.initial(g, src)
-                out = pi_push(g, src, ALPHA, lam, eps_f, led)
+            for eps in (1e-3, 1e-5):
+                out = pi_push(g, src, ALPHA, lam, eps)
                 diff = ref.pi[src, :] - out.scores
                 assert diff.min() >= -1e-11
-                assert diff.max() <= eps_f + 1e-12
+                assert diff.max() <= eps + 1e-12
+                trace = out.phase_trace
+                assert trace["residue_bound"] + trace["backward_bound"] <= eps
 
-    def test_forward_scores_after_backward_phase(self):
-        rng = np.random.default_rng(14)
-        g = random_bigraph(rng, 30, 30, 4.0)
-        ref = exact_hpp(g, ALPHA, tol=1e-14)
-        src = 2
-        led = self._seeded(g, src, 1e-3)
-        out = pi_push(g, src, ALPHA, float(g.ws_u.max() / g.ws_u.min()), 1e-4, led)
-        diff = ref.pi[src, :] - out.scores
-        assert diff.min() >= -1e-11
-        assert diff.max() <= 1e-4 + 1e-12
-
-    def test_gamma_recorded_at_entry(self):
-        rng = np.random.default_rng(15)
-        g = random_bigraph(rng, 20, 20, 3.0)
-        led = self._seeded(g, 1, 1e-2)
-        expect = float((g.ws_u / g.ws_u[1] * led.residue_u).sum())
-        out = pi_push(g, 1, ALPHA, 3.0, 1e-3, led)
-        assert out.phase_trace["gamma"] == pytest.approx(expect, rel=1e-12)
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, 5e-324, float("nan"), float("inf")])
+    def test_epsilon_without_a_positive_finite_half_rejected(self, g3, eps):
+        with pytest.raises(ValueError, match="must be positive"):
+            pi_push(g3, 0, ALPHA, 2.0, eps)
 
     def test_budget_exit_finishes_with_power_iterations(self):
-        # pushing from u6 of a skewed graph stops paying before the certified
+        # pushing from u4 of a skewed graph stops paying before the certified
         # depth reaches zero; the residue tail is then folded in with
         # truncated power iterations
-        g = synth_bipartite(100, 100, 300, (0.0, 10.0), degree_skew=1.2, seed=0)
-        ref = exact_hpp(g, ALPHA, tol=1e-14)
-        src = 6
-        led = ResidueLedger.initial(g, src)
-        lam = float(g.ws_u.max() / g.ws_u.min())
-        eps_f = 1e-4
-        out = pi_push(g, src, ALPHA, lam, eps_f, led)
+        g = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
+        out = pi_push(g, 4, ALPHA, build_index_meta(g).lam, 1e-4)
         assert out.terminated_by == "budget-switch"
         assert out.phase_trace["power_iterations"] > 0
-        diff = ref.pi[src, :] - out.scores
-        assert diff.min() >= -1e-11
-        assert diff.max() <= eps_f + 1e-12
+        self._check(g, 4, out)
 
-    @pytest.mark.parametrize("graph, eps_f, rounds, n_p", [
-        # the certified depth falls 1 -> 0 in the last round; one more round
-        # at depth 0 would cost 2|E| and buy nothing
-        (hub_graph(50), 1e-7, 94, 18750),
-        # here the depth would rise 0 -> 3 after one more round
-        (synth_bipartite(100, 100, 300, (0.0, 10.0), degree_skew=1.2, seed=0), 1e-4, 41, 23229),
+    @pytest.mark.parametrize("graph, eps, rounds, n_p", [
+        (hub_graph(50), 1e-7, 99, 19750),
+        (synth_bipartite(100, 100, 300, (0.0, 10.0), degree_skew=1.2, seed=0), 1e-4, 45, 25533),
     ], ids=["hub", "skew"])
-    def test_switches_once_certified_depth_is_zero(self, graph, eps_f, rounds, n_p):
-        out = pi_push(graph, 0, ALPHA, float(graph.ws_u.max() / graph.ws_u.min()), eps_f,
-                      ResidueLedger.initial(graph, 0))
+    def test_switches_once_certified_depth_is_zero(self, graph, eps, rounds, n_p):
+        # once the residues certify the tail with no power iteration, one
+        # more round would cost n_p and buy nothing
+        out = pi_push(graph, 0, ALPHA, float(graph.ws_u.max() / graph.ws_u.min()), eps)
         trace = out.phase_trace
         assert trace["switched_by"] == "cost"
-        assert (trace["selective_rounds"], trace["power_iterations"]) == (rounds, 0)
+        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (rounds, 0, 0)
         assert out.ledger.n_p == n_p
-        diff = exact_hpp_solve(graph, ALPHA)[0] - out.scores
-        assert diff.min() >= -1e-12
-        assert diff.max() <= eps_f + 1e-12
+        assert trace["residue_bound"] + trace["backward_bound"] <= eps
+        self._check(graph, 0, out)
 
-    def test_no_forward_round_at_entry_depth_zero(self):
-        # after the backward phase from the hub of a skewed graph the residue
-        # tail is already certified, so the forward phase pushes nothing
+    def test_no_round_at_entry_depth_zero(self):
+        # at an epsilon whose tail is certified from the unit residue itself
+        # the kernel pushes nothing and returns alpha at the source
         g = synth_bipartite(400, 300, 4000, (0.0, 10.0), degree_skew=1.2, seed=21)
-        eps = 1e-4
-        led = self._seeded(g, 0, eps)
-        n_p = led.n_p
         phases = []
-        out = pi_push(g, 0, ALPHA, build_index_meta(g).lam, eps, led,
+        out = pi_push(g, 0, ALPHA, build_index_meta(g).lam, 1.8,
                       round_hook=lambda ph, r, led: phases.append(ph))
         trace = out.phase_trace
-        assert phases == [] and out.ledger.n_p == n_p
+        assert phases == [] and out.ledger.n_p == 0
         assert trace["switched_by"] == "cost"
         assert (trace["selective_rounds"], trace["power_iterations"]) == (0, 0)
-        diff = exact_hpp_solve(g, ALPHA)[0] - out.scores
-        assert diff.min() >= -1e-12
-        assert diff.max() <= eps + 1e-12
+        np.testing.assert_array_equal(np.flatnonzero(out.scores), [0])
+        assert out.scores[0] == ALPHA
+        self._check(g, 0, out)
 
     def test_cost_rule_switches_before_the_cap(self):
-        # After a backward phase on a skewed graph, one forward round costs
-        # more than the power iterations it takes off the certified depth, so
-        # the cost rule switches after it; the paper's budget alone would
-        # have run 14 rounds. The iterates certify the tail 5 iterations
-        # before the a-priori depth.
+        # On a skewed graph the rounds stop paying for themselves after 30
+        # rounds, where the paper's budget alone would have run 51. The
+        # iterates certify the tail 2 iterations before the a-priori depth.
         g = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
         src, eps = 30, 1e-4
         lam = build_index_meta(g).lam
-        led = self._seeded(g, src, eps)
-        capped = copy.deepcopy(led)
-        out = pi_push(g, src, ALPHA, lam, eps, led)
+        out = pi_push(g, src, ALPHA, lam, eps)
         trace = out.phase_trace
         assert out.terminated_by == "budget-switch" and trace["switched_by"] == "cost"
-        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (1, 14, 19)
+        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (30, 12, 14)
 
+        capped = ResidueLedger.initial(g, src)
         w_ratio = g.ws_u / g.ws_u[src]
-        theta = (g.ws_u[src] / g.ws_u) * (eps / lam)
-        gamma, n_p_entry = float(w_ratio @ capped.residue_u), capped.n_p
+        theta = np.minimum(eps / 2, (g.ws_u[src] / g.ws_u) * (eps / 2 / lam))
 
         def cap_spent():
-            ratio = float(w_ratio @ capped.residue_u) / gamma
-            return pe._budget_spent(g, ALPHA, capped.n_p - n_p_entry, ratio)
+            return pe._budget_spent(g, ALPHA, capped.n_p, float(w_ratio @ capped.residue_u))
 
         cap_rounds, met = pe._rounds(g, capped, ALPHA, theta, theta, "forward-selective", None, cap_spent)
-        assert not met and cap_rounds == 14
-        diff = exact_hpp_solve(g, ALPHA)[src] - out.scores
-        assert diff.min() >= -1e-12
-        assert diff.max() <= eps + 1e-12
+        assert not met and cap_rounds == 51
+        self._check(g, src, out)
 
     def test_paper_budget_caps_rounds_that_pay(self):
-        # On a dense uniform graph the first forward round takes at least as
-        # many iterations off the certified depth as it costs, so the cost
-        # rule would push on; the paper's budget is spent after it.
-        g = synth_bipartite(100, 100, 2000, (0.0, 10.0), seed=0)
-        src, eps = 99, 1e-3
-        out = pi_push(g, src, ALPHA, build_index_meta(g).lam, eps, self._seeded(g, src, eps))
+        # Three U nodes share 150 V nodes over thirty decades of weights:
+        # rounds keep taking iterations off the certified depth for what
+        # they cost, so the cost rule would push on, until the paper's
+        # budget is spent.
+        rng = np.random.default_rng(2)
+        g = synth_bipartite(7, 150, 900, (1.0, 10.0), 1.2, 2)
+        w = g.u_weights * 10.0 ** rng.uniform(-15, 15, g.edge_count)
+        g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_indices, w)
+        out = pi_push(g, 0, ALPHA, build_index_meta(g).lam, 1e-5)
         trace = out.phase_trace
         assert trace["switched_by"] == "cap"
-        assert (trace["selective_rounds"], trace["power_iterations"]) == (1, 4)
-        diff = exact_hpp_solve(g, ALPHA)[src] - out.scores
-        assert diff.min() >= -1e-12
-        assert diff.max() <= eps + 1e-12
+        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (66, 5, 6)
+        self._check(g, 0, out)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from(["random", "wide-weights", "hub"]),
         st.sampled_from([1e-4, 1e-7, 1e-10]),
-        st.booleans(),
     )
-    def test_certified_depth_keeps_guarantee(self, seed, shape, eps_f, seeded):
+    def test_certified_depth_keeps_guarantee(self, seed, shape, eps):
         # The power-iteration depth comes from the reversible-walk bound when
-        # it beats the residue mass; either way the forward scores stay
-        # within eps_f below the truth, and the depth never exceeds the one
-        # the mass alone asks for.
+        # it beats the residue mass; either way both halves stay within
+        # their bounds below the truth, the bounds within eps, and the depth
+        # never exceeds the one the mass and max residue alone ask for.
         rng = np.random.default_rng(seed)
         if shape == "hub":
             g = hub_graph(int(rng.integers(3, 40)))
@@ -410,47 +377,45 @@ class TestPiPush:
                                g.u_indices, w)
         src = int(rng.integers(0, g.u_count))
         lam = float(g.ws_u.max() / g.ws_u.min())
-        led = self._seeded(g, src, eps_f) if seeded else ResidueLedger.initial(g, src)
-        out = pi_push(g, src, ALPHA, lam, eps_f, led)
-        diff = exact_hpp_solve(g, ALPHA)[src] - out.scores
-        assert diff.min() >= -1e-12
-        assert diff.max() <= eps_f + 1e-12
+        out = pi_push(g, src, ALPHA, lam, eps)
+        self._check(g, src, out)
         trace = out.phase_trace
+        assert trace["residue_bound"] + trace["backward_bound"] <= eps
         if out.terminated_by == "budget-switch":
-            mass = float((g.ws_u / g.ws_u[src] * out.ledger.residue_u).sum())
-            assert trace["power_iterations"] <= required_iterations(ALPHA, eps_f, mass)
-            assert 0.0 <= trace["power_tail_bound"] <= eps_f
+            r = out.ledger.residue_u
+            mass = float((g.ws_u / g.ws_u[src] * r).sum())
+            assert trace["power_iterations"] <= required_iterations(ALPHA, eps, mass + float(r.max()))
+            assert 0.0 <= trace["power_tail_bound"] <= eps
             assert trace["switched_by"] in ("cost", "cap")
         else:
             assert trace["power_iterations"] == 0
             assert trace["power_tail_bound"] == 0.0
 
     def test_certified_depth_below_mass_depth(self):
-        # On a uniform graph the reversible-walk bound certifies the tail in
-        # a few iterations where the residue mass would ask for over 40.
+        # On a uniform graph the reversible-walk bound certifies the tail
+        # where the residue mass would ask for 40 iterations.
         g = synth_bipartite(2000, 2000, 40000, (0.0, 10.0), seed=7)
         lam = float(g.ws_u.max() / g.ws_u.min())
-        src, eps_f = 0, 5e-6
-        out = pi_push(g, src, ALPHA, lam, eps_f, self._seeded(g, src, 5e-6))
+        src, eps = 0, 5e-6
+        out = pi_push(g, src, ALPHA, lam, eps)
         assert out.terminated_by == "budget-switch"
         mass = float((g.ws_u / g.ws_u[src] * out.ledger.residue_u).sum())
-        depth = out.phase_trace["power_iterations"]
-        assert depth < required_iterations(ALPHA, eps_f, mass)
-        assert out.phase_trace["power_tail_bound"] <= eps_f
+        assert out.phase_trace["depth_cap"] < required_iterations(ALPHA, eps, mass) == 40
+        assert out.phase_trace["power_tail_bound"] <= eps
         # 300 terms leave a tail under 0.85^301 < 1e-20
         start = np.zeros(g.u_count)
         start[src] = 1.0
         diff = power_iteration(g, start, ALPHA, 300) - out.scores
         assert diff.min() >= -1e-12
-        assert diff.max() <= eps_f
+        assert diff.max() <= out.phase_trace["residue_bound"] + 1e-12
 
-    @pytest.mark.parametrize("eps_f", [1e-3, 1e-5, 1e-7])
-    @pytest.mark.parametrize("seeded", [False, True], ids=["identity", "seeded"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
     @pytest.mark.parametrize("skew", [None, 1.2], ids=["uniform", "skew"])
-    def test_power_iterations_stop_on_their_own_certificate(self, skew, seeded, eps_f):
-        # The finish stops at the first t whose tail, read off the iterate
-        # z_t = x P^t, is at most eps_f, and never runs past the a-priori
-        # depth certified from x; z_t is recomputed here from a dense P.
+    def test_power_iterations_stop_on_their_own_certificate(self, skew, eps):
+        # The finish stops at the first t whose tail, both halves read off the
+        # iterate z_t = x P^t, is at most eps, and never runs past the
+        # a-priori depth certified from x; z_t is recomputed here from a
+        # dense P.
         g = synth_bipartite(300, 300, 1500, (0.0, 10.0), degree_skew=skew, seed=4)
         exact = exact_hpp_solve(g, ALPHA)
         lam = build_index_meta(g).lam
@@ -458,46 +423,39 @@ class TestPiPush:
         p = (w / g.ws_u[:, None]) @ (w.T / g.ws_v[:, None])
         ws, ws_max = g.ws_u, float(g.ws_u.max())
         for src in (0, 7, 150):
-            led = self._seeded(g, src, eps_f) if seeded else ResidueLedger.initial(g, src)
-            out = pi_push(g, src, ALPHA, lam, eps_f, led)
+            out = pi_push(g, src, ALPHA, lam, eps)
             trace = out.phase_trace
-            diff = exact[src] - out.scores
-            assert diff.min() >= -1e-12
-            assert diff.max() <= eps_f + 1e-12
+            self._check(g, src, out, exact)
             assert trace["power_iterations"] <= trace["depth_cap"]
-            assert trace["power_tail_bound"] <= eps_f
+            assert trace["power_tail_bound"] <= eps
             if out.terminated_by == "threshold-met":
                 assert (trace["power_iterations"], trace["depth_cap"]) == (0, 0)
                 continue
-            x = ws / ws[src] * out.ledger.residue_u
-            bound = min(float(x.sum()), float(ws_max * out.ledger.residue_u.max() / ws[src]))
-            assert trace["depth_cap"] == required_iterations(ALPHA, eps_f, bound)
+            r = out.ledger.residue_u
+            x = ws / ws[src] * r
+            m_cap = float(r.max()) / ws[src]
+
+            def tail(m, t):
+                return (1 - ALPHA) ** (t + 1) * (min(float(x.sum()), ws_max * m) + ws[src] * m)
+
+            assert trace["depth_cap"] == required_iterations(ALPHA, eps, tail(m_cap, -1))
             z, t = x, 0
-            while t < trace["depth_cap"] and (1 - ALPHA) ** (t + 1) * min(bound, ws_max * (z / ws).max()) > eps_f:
+            while t < trace["depth_cap"] and tail(min(m_cap, (z / ws).max()), t) > eps:
                 z, t = z @ p, t + 1
             assert trace["power_iterations"] == t
-            assert trace["residue_bound"] == trace["power_tail_bound"]
+            assert trace["power_tail_bound"] == pytest.approx(tail(min(m_cap, (z / ws).max()), t), rel=1e-12)
+            assert trace["residue_bound"] + trace["backward_bound"] == trace["power_tail_bound"]
 
     def test_certificate_stops_below_the_cap(self):
         # On a uniform graph the iterates mix fast: the tail read off them is
         # certified well before the depth certified from the residues.
         g = synth_bipartite(300, 300, 1500, (0.0, 10.0), seed=4)
-        src, eps_f = 7, 1e-7
-        out = pi_push(g, src, ALPHA, build_index_meta(g).lam, eps_f, ResidueLedger.initial(g, src))
+        src, eps = 7, 1e-7
+        out = pi_push(g, src, ALPHA, build_index_meta(g).lam, eps)
         trace = out.phase_trace
         assert out.terminated_by == "budget-switch"
-        assert (trace["power_iterations"], trace["depth_cap"]) == (21, 26)
-        assert trace["power_tail_bound"] <= eps_f
-
-    def test_backward_estimates_keep_growing(self):
-        # forward pushes still credit alpha-fractions to the same ledger
-        rng = np.random.default_rng(17)
-        g = random_bigraph(rng, 25, 25, 3.0)
-        led = self._seeded(g, 4, 1e-2)
-        before = led.estimate.copy()
-        pi_push(g, 4, ALPHA, 5.0, 1e-4, led)
-        assert (led.estimate - before).min() >= 0.0
-        assert led.estimate.sum() > before.sum()
+        assert (trace["power_iterations"], trace["depth_cap"]) == (3, 7)
+        assert trace["power_tail_bound"] <= eps
 
 
 class TestLoopContract:
@@ -508,22 +466,21 @@ class TestLoopContract:
         # round count, and a run met at entry neither runs nor reports one.
         hub = hub_graph(50)
         skew = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
-        seeded = ss_push(skew, 30, ALPHA, 1e-4).ledger
         lam = build_index_meta(skew).lam
         runs = [
-            (selective_push, (skew, 0, ALPHA, 1e-6), 0,
+            (selective_push, (skew, 0, ALPHA, 1e-6),
              {"selective": "selective_rounds"}),
-            (ss_push, (heavy_pendant_graph(), 0, ALPHA, 1e-7), 0,
+            (ss_push, (heavy_pendant_graph(), 0, ALPHA, 1e-7),
              {"selective": "selective_rounds", "sequential": "sequential_rounds"}),
-            (pi_push, (hub, 0, ALPHA, 50.0, 1e-7, ResidueLedger.initial(hub, 0)), 0,
+            (pi_push, (hub, 0, ALPHA, 50.0, 1e-7),
              {"forward-selective": "selective_rounds"}),
-            (pi_push, (skew, 30, ALPHA, lam, 1e-4, seeded), seeded.n_p,
+            (pi_push, (skew, 30, ALPHA, lam, 1e-4),
              {"forward-selective": "selective_rounds"}),
         ]
-        for kernel, args, n_p_entry, phases in runs:
+        for kernel, args, phases in runs:
             calls = []
             out = kernel(*args, round_hook=lambda ph, r, led: calls.append((ph, r, led.n_p)))
-            n_p = [n_p_entry] + [c[2] for c in calls]
+            n_p = [0] + [c[2] for c in calls]
             assert all(later > earlier for earlier, later in zip(n_p, n_p[1:]))
             for phase, key in phases.items():
                 rounds = [r for ph, r, _ in calls if ph == phase]
@@ -539,13 +496,9 @@ class TestLoopContract:
 
         out = selective_push(skew, 0, ALPHA, 2.0, round_hook=hook)
         assert out.phase_trace["selective_rounds"] == 0 and out.ledger.n_p == 0
-        # forward thresholds at twice the largest transformed residue
-        led = ss_push(skew, 3, ALPHA, 1e-3).ledger
-        w_ratio = skew.ws_u / skew.ws_u[3]
-        eps_f = 2.0 * lam * float((w_ratio * led.residue_u).max())
-        n_p, estimate = led.n_p, led.estimate.copy()
-        out = pi_push(skew, 3, ALPHA, lam, eps_f, led, round_hook=hook)
+        # thresholds at or above the unit residue: nothing to push
+        out = pi_push(skew, 3, ALPHA, lam, 2.0 * lam, round_hook=hook)
         assert out.terminated_by == "threshold-met"
-        assert out.phase_trace["selective_rounds"] == 0 and led.n_p == n_p
-        np.testing.assert_array_equal(out.scores, w_ratio * estimate)
+        assert out.phase_trace["selective_rounds"] == 0 and out.ledger.n_p == 0
+        np.testing.assert_array_equal(out.scores, np.zeros(skew.u_count))
         assert calls == []
