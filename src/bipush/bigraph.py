@@ -122,8 +122,10 @@ class BipartiteGraph:
             i = int(np.flatnonzero(self.deg_v == 0)[0])
             raise DataError(f"isolated node on V side: {v_labels[i]!r}")
 
-        eu = np.repeat(np.arange(self.u_count), self.deg_u)
-        self.ws_u = _frozen(np.bincount(eu, weights=weights, minlength=self.u_count))
+        # Each edge's U endpoint (8 bytes an edge) lives only for this sum,
+        # so the load's peak never holds it beside the V side's conversion.
+        self.ws_u = _frozen(np.bincount(np.repeat(np.arange(self.u_count), self.deg_u),
+                                        weights=weights, minlength=self.u_count))
         self.ws_v = _frozen(np.bincount(indices, weights=weights, minlength=self.v_count))
         # The kernels divide weight sums by one another; a ratio that
         # overflows would turn scores into NaN.

@@ -14,13 +14,16 @@ mid-hop. The conservation law
 holds at every round boundary (V residues zero) and is what the tests probe.
 
 Both halves of a round are one primitive, `_push_rows`: add scale times the
-given rows of a raw-weight matrix (g.u_adj for the U half, g.v_adj for the V
-half), weighted by the pushed residues, into the other side's residues,
-dividing each receiver's total by its weight sum (g.ws_v, g.ws_u). It
-scatters slot by slot while the pushed rows are a small share of the edges
-and otherwise gathers them in one sparse mat-vec through the receiving
-side's own CSR (g.v_adj for the U half, g.u_adj for the V half), which sums
-in the same order as the transpose would.
+rows a mask selects (over-threshold U nodes, positive V nodes) of a
+raw-weight matrix (g.u_adj for the U half, g.v_adj for the V half),
+weighted by the pushed residues, into the other side's residues, dividing
+each receiver's total by its weight sum (g.ws_v, g.ws_u). It scatters slot
+by slot while the pushed rows are a small share of the edges and otherwise
+gathers the dense masked residues in one sparse mat-vec through the
+receiving side's own CSR (g.v_adj for the U half, g.u_adj for the V half),
+which sums in the same order as the transpose would. The V half pushes
+every positive residue, so it hands its residues to the mat-vec as they
+are.
 
 Every kernel runs the same loop of thresholded rounds, `_rounds`, which stops
 when no U residue exceeds its threshold or when the kernel's switch rule
@@ -41,20 +44,31 @@ through the ratio ws(u_i)/ws(u), and the backward scores are the forward
 ones scaled by ws(u)/ws(u_i), their error included. pi_push pushes the
 unit ledger at u under per-node thresholds that hold each half of the error
 to eps/2 on a threshold exit, and on a switch finishes the transformed
-residues x with power iterations. The tail they drop is certified twice,
-for both halves together. A priori, from the residues at the switch: the
-smallest t whose dropped tail (1-alpha)^(t+1) * (min(sum x, ws_max *
-max_j x_j / ws_j) + ws(u) * max_j x_j / ws_j) is at most eps. The first
-term bounds the forward half (the L1 bound, and max_j (x P^l)_j / ws_j
-never grows with l as the walk is reversible), the second its reflection.
-A posteriori, from the iterate z_t = x P^t itself: the same tail with z_t
-in place of x, which is valid at every t and only tightens. The iterations
-stop at the first t whose a-posteriori tail is at most eps, checked before
-the first one too, and never run past the a-priori depth, which keeps the
-paper's complexity bound. pi_push switches on cost first: a power
-iteration costs 2|E| of n_p, so before each round it switches once the last
-round's n_p exceeded 2|E| times the drop in a-priori depth that round
-bought, or once that depth is zero, at entry included (the trace's
+residues x with power iterations z_l = x P^l.
+
+Reversibility also brackets the tail those iterations drop: (z P)_j / ws_j
+= sum_i P_ji z_i / ws_i is a convex combination of the values z_i / ws_i,
+so lo_l = min_j z_l[j] / ws_j never falls with l and hi_l = max_j z_l[j] /
+ws_j never rises. After t iterations the dropped tail sum_{l>t} alpha
+(1-alpha)^l z_l[j] therefore lies between (1-alpha)^(t+1) ws_j lo_t and
+(1-alpha)^(t+1) ws_j hi_t. pi_push credits the lower end to the scores,
+which stay one-sided because it is a true lower bound, and certifies what
+is left on the width hi_t - lo_t: (1-alpha)^(t+1) * (min(sum x, ws_max *
+(hi_t - lo_t)) + ws(u) * (hi_t - lo_t)) bounds both halves together, the
+first term the forward half (by the L1 mass, or entrywise by the width)
+and the second its reflection. lo is the minimum over all of U, so on a
+graph with more than one component it is 0 and the bound is the
+ceiling-only one. The tail is certified twice. A priori, from the residues
+at the switch, where x / ws = r / ws(u): the smallest t whose bound on the
+width (max r - min r) / ws(u) is at most eps. A posteriori, from the
+iterate z_t itself: the same bound on its own lo_t and hi_t, kept within
+the values at the switch, which is valid at every t and only tightens. The
+iterations stop at the first t whose a-posteriori tail is at most eps,
+checked before the first one too, and never run past the a-priori depth,
+which keeps the paper's complexity bound. pi_push switches on cost first: a
+power iteration costs 2|E| of n_p, so before each round it switches once
+the last round's n_p exceeded 2|E| times the drop in a-priori depth that
+round bought, or once that depth is zero, at entry included (the trace's
 switched_by is "cost"). The paper's budget stays as a cap (switched_by
 "cap"), so its complexity bound still holds.
 
@@ -111,16 +125,18 @@ def required_iterations(alpha: float, epsilon_f: float, mass: float) -> int:
     """Power-iteration depth t with truncation deficit at most epsilon_f.
 
     The dropped tail after t rounds is (1-alpha)^(t+1) * mass, so
-    t = max(0, ceil(log_{1/(1-alpha)}(mass / epsilon_f)) - 1).
+    t = max(0, ceil(log_{1/(1-alpha)}(mass / epsilon_f)) - 1). Where the
+    ratio leaves the float range (a subnormal epsilon_f) its log is taken
+    as a difference of logs.
     """
     _check_alpha(alpha)
     if epsilon_f <= 0:
         raise ValueError("epsilon_f must be positive")
     if mass <= 0:
         return 0
-    return max(
-        0, math.ceil(math.log(mass / epsilon_f) / math.log(1.0 / (1.0 - alpha))) - 1
-    )
+    ratio = mass / epsilon_f
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(mass) - math.log(epsilon_f)
+    return max(0, math.ceil(log_ratio / math.log(1.0 / (1.0 - alpha))) - 1)
 
 
 def power_iteration(g, start: np.ndarray, alpha: float, t: int) -> np.ndarray:
@@ -215,9 +231,14 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
     backward_bound the backward ones read off them; the two sum to at most
     epsilon. On threshold exit they are lam * max x and max r, each at most
     eps/2, x being the transformed residues ws(u_i)/ws(u) * r(u_i). After a
-    switch (switched_by "cost" or "cap") they are the halves of the tail
-    read off the last iterate, power_tail_bound is their sum,
-    power_iterations the iterations run, and depth_cap the a-priori depth.
+    switch (switched_by "cost" or "cap") the scores hold the floor of the
+    dropped tail, (1-alpha)^(t+1) * lo * ws(u_i) for node u_i after t
+    iterations, and the bounds are the halves of what is left, priced on
+    the width hi - lo of z_t / ws read off the last iterate (the bracket in
+    the module docstring): power_tail_bound is their sum, tail_floor the lo
+    credited (0.0 on a threshold exit, and on a graph with more than one
+    component), power_iterations the iterations run, and depth_cap the
+    a-priori depth, priced on the width at the switch.
 
     lam must upper-bound every column sum of the hidden walk-score matrix.
     """
@@ -236,12 +257,22 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
     ws_max = float(ws.max())
     mass = 1.0  # sum x
 
-    def halves(m: float) -> tuple[float, float]:
+    def halves(w: float) -> tuple[float, float]:
         # The forward and backward bounds on one term of the series, over
-        # its (1-alpha)^l.
-        return min(mass, ws_max * m), ws_src * m
+        # its (1-alpha)^l, once its floor is credited: w is the width
+        # hi - lo of the values z[j] / ws_j.
+        return min(mass, ws_max * w), ws_src * w
 
-    depth = required_iterations(alpha, epsilon, sum(halves(1.0 / ws_src)))
+    def bracket() -> tuple[float, float]:
+        # hi and lo of x / ws = r / ws(u) at the current residues.
+        r = led.residue_u
+        return float(r.max()) / ws_src, float(r.min()) / ws_src
+
+    def priced_depth() -> int:
+        hi, lo = bracket()
+        return required_iterations(alpha, epsilon, sum(halves(hi - lo)))
+
+    depth = priced_depth()
     round_start = 0
     switched_by = None
 
@@ -253,7 +284,7 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
         nonlocal mass, depth, round_start, switched_by
         mass = float((w_ratio * led.residue_u).sum())
         prev_depth = depth
-        depth = required_iterations(alpha, epsilon, sum(halves(float(led.residue_u.max()) / ws_src)))
+        depth = priced_depth()
         if depth == 0 or led.n_p - round_start > 2 * g.edge_count * (prev_depth - depth):
             switched_by = "cost"
         elif _budget_spent(g, alpha, led.n_p, mass):
@@ -271,6 +302,7 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
         "power_iterations": 0,
         "depth_cap": 0,
         "power_tail_bound": 0.0,
+        "tail_floor": 0.0,
         # lam bounds the column sums of the walk-score matrix; its rows sum
         # to 1.
         "residue_bound": lam * float(x.max()),
@@ -279,21 +311,27 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
     }
     if not met:
         # Sum alpha * (1-alpha)^t * z_t over z_t = x P^t until the tail read
-        # off z_t is certified. As max_j z_t[j] / ws_j never grows with t,
-        # its value at the switch caps it, and the a-priori depth, certified
-        # from that value, caps the loop.
-        m_cap = r_max / ws_src
+        # off z_t is certified. z_t / ws stays within the bracket [lo, hi] of
+        # every earlier iterate, so its values at the switch cap it, and the
+        # a-priori depth, certified from them, caps the loop.
+        hi_cap, lo_cap = bracket()
         z, total, t = x, x.copy(), 0
-        fwd_tail, back_tail = ((1.0 - alpha) * h for h in halves(m_cap))
+        decay, lo = 1.0 - alpha, lo_cap
+        fwd_tail, back_tail = (decay * h for h in halves(hi_cap - lo))
         while t < depth and fwd_tail + back_tail > epsilon:
             z = _two_hop(g, z)
             t += 1
             total += (1.0 - alpha) ** t * z
             decay = (1.0 - alpha) ** (t + 1)
-            fwd_tail, back_tail = (decay * h for h in halves(min(m_cap, float((z / ws).max()))))
-        scores = scores + alpha * total
+            q = z / ws
+            hi, lo = min(hi_cap, float(q.max())), max(lo_cap, float(q.min()))
+            fwd_tail, back_tail = (decay * h for h in halves(hi - lo))
+        # The dropped tail is at least (1-alpha)^(t+1) * lo * ws entrywise:
+        # credit that floor.
+        scores = scores + alpha * total + (decay * lo) * ws
         trace.update(power_iterations=t, depth_cap=depth, power_tail_bound=fwd_tail + back_tail,
-                     residue_bound=fwd_tail, backward_bound=back_tail, switched_by=switched_by)
+                     tail_floor=lo, residue_bound=fwd_tail, backward_bound=back_tail,
+                     switched_by=switched_by)
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch", scores=scores)
 
 
@@ -344,27 +382,33 @@ def _rounds(g, led: ResidueLedger, alpha: float, push_above, stop_at, phase: str
 def _round(g, led: ResidueLedger, threshold, alpha: float) -> None:
     """One boundary-to-boundary round: push over-threshold U nodes, then
     flush all positive V residues."""
-    uidx = np.flatnonzero(led.residue_u > threshold)
-    amounts = led.residue_u[uidx]
-    led.n_p += _push_rows(g.u_adj, g.v_adj, g.deg_u, uidx, amounts, led.residue_v, 1.0 - alpha, g.ws_v)
-    led.estimate[uidx] += alpha * amounts
-    led.residue_u[uidx] = 0.0
-    vidx = np.flatnonzero(led.residue_v > 0.0)
-    led.n_p += _push_rows(g.v_adj, g.u_adj, g.deg_v, vidx, led.residue_v[vidx], led.residue_u, 1.0, g.ws_u)
+    r = led.residue_u
+    n_p, rows, pushed = _push_rows(g.u_adj, g.v_adj, g.deg_u, r, led.residue_v, 1.0 - alpha, g.ws_v,
+                                   r > threshold)
+    led.estimate[rows] += alpha * pushed
+    r[rows] -= pushed
+    led.n_p += n_p + _push_rows(g.v_adj, g.u_adj, g.deg_v, led.residue_v, r, 1.0, g.ws_u)[0]
     led.residue_v[:] = 0.0
 
 
-def _push_rows(mat, mat_t, deg, rows, amounts, out, scale: float, ws) -> int:
-    """out += scale * (sum_k amounts[k] * mat[rows[k], :]) / ws, with ws the
-    receivers' weight sums and mat_t the CSR of mat's transpose (the other
-    side's matrix); returns the degree sum of the pushed rows (their n_p)."""
-    deg_sum = int(deg[rows].sum())
+def _push_rows(mat, mat_t, deg, r, out, scale: float, ws, mask=None):
+    """out += scale * (sum_k r[k] * mat[k, :]) / ws over the rows k in mask
+    (every positive entry of the nonnegative r when mask is None), with ws
+    the receivers' weight sums and mat_t the CSR of mat's transpose (the
+    other side's matrix). Returns the degree sum of the pushed rows (their
+    n_p) and `rows, pushed`, such that r[rows] -= pushed takes exactly the
+    pushed residues off r: the row indices and their residues when it
+    scattered, an Ellipsis and r zeroed outside the mask when it gathered
+    by mat-vec."""
+    active = r > 0.0 if mask is None else mask
+    deg_sum = int(deg @ active)
     if deg_sum <= _SCATTER_LIMIT * mat.nnz:
+        rows = np.flatnonzero(active)
+        amounts = r[rows]
         slots = _row_slots(mat.indptr, rows, deg)
         contrib = scale * mat.data[slots] * np.repeat(amounts, deg[rows])
         out += np.bincount(mat.indices[slots], weights=contrib, minlength=out.size) / ws
-    else:
-        dense = np.zeros(mat.shape[0])
-        dense[rows] = amounts
-        out += scale * (mat_t @ dense) / ws
-    return deg_sum
+        return deg_sum, rows, amounts
+    pushed = r if mask is None else np.where(mask, r, 0.0)
+    out += scale * (mat_t @ pushed) / ws
+    return deg_sum, ..., pushed

@@ -259,8 +259,23 @@ class TestBhppQuery:
 # bhpp_query answers in TestBitIdentity, and over the scores and phase_trace
 # of pisp_query on the same queries. A change that moves any of them re-pins
 # its value and says why in CHANGES.md.
-PINNED_DIGEST = "225652f5952d932a2dde884ab59686b5f9eb2027bdfe1ab88e0001b43cd6c176"
+PINNED_DIGEST = "c1f92ef36caaf6dfc929690c13c2c6a939a52ac1f4f387720b7a5a1fde31727b"
 PINNED_PISP_DIGEST = "ef2fa903548fe9fab3e116b94dceae3f74651bfb4214d4bbbd47f345659cf2af"
+
+
+# sha256 over the scores and phase_trace of bhpp_query on a graph with two
+# components, the trace's tail_floor left out: the digest the ceiling-only
+# certificate gave before the floor was credited. The floor is 0 on such a
+# graph, so it must not move.
+PINNED_TWO_COMPONENT_DIGEST = "b74750bae7d044a275cd84ec2de3eff8b8f77f64f1bb1c6971aa42d9ebba347f"
+
+
+def _two_component_graph():
+    """The uniform graph of _pinned_queries plus one isolated edge."""
+    g = synth_bipartite(400, 300, 4000, (0.0, 10.0), seed=21)
+    eu = np.append(np.repeat(np.arange(g.u_count), g.deg_u), g.u_count)
+    ev = np.append(g.u_indices, g.v_count)
+    return BipartiteGraph(g.u_labels + ["iso"], g.v_labels + ["iso_v"], eu, ev, np.append(g.u_weights, 1.0))
 
 
 def _pinned_queries():
@@ -283,6 +298,24 @@ class TestBitIdentity:
             h.update(json.dumps(r.phase_trace, sort_keys=True).encode())
             h.update(repr((r.epsilon_b, r.epsilon_f)).encode())
         assert h.hexdigest() == PINNED_DIGEST
+
+    def test_floor_is_zero_on_a_graph_with_two_components(self):
+        # the isolated edge keeps lo at 0, so every answer, the isolated
+        # node's own included, is the one the ceiling-only certificate gave;
+        # without it the same graph credits a floor
+        g = _two_component_graph()
+        meta = build_index_meta(g)
+        h = hashlib.sha256()
+        for q in (1, 7, 99, 400):
+            for eps in (1e-2, 1e-4, 1e-6):
+                r = bhpp_query(g, meta, q, eps)
+                assert r.phase_trace["forward"].pop("tail_floor") == 0.0
+                h.update(r.scores.tobytes())
+                h.update(json.dumps(r.phase_trace, sort_keys=True).encode())
+        assert h.hexdigest() == PINNED_TWO_COMPONENT_DIGEST
+        connected = synth_bipartite(400, 300, 4000, (0.0, 10.0), seed=21)
+        r = bhpp_query(connected, build_index_meta(connected), 1, 1e-6)
+        assert r.phase_trace["forward"]["tail_floor"] > 0.0
 
     def test_pisp_scores_and_traces_are_pinned(self):
         # pisp's backward half runs the same rounds and push primitive

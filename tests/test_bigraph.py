@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import io
+import itertools
 import struct
 
 import numpy as np
@@ -120,16 +121,26 @@ class TestDerivedMatrices:
 
     def test_receiver_normalized_slots(self, monkeypatch):
         # pushing unit mass from one row hands each receiver its share
-        # w / ws(receiver) of that edge, on both push paths
+        # w / ws(receiver) of that edge, on both push paths, whether the row
+        # is masked in or is the one positive residue
         rng = np.random.default_rng(12)
         g = random_bigraph(rng, 25, 20, 4.0)
         for limit in (10.0, -1.0):  # always scatter, always mat-vec
             monkeypatch.setattr(pe, "_SCATTER_LIMIT", limit)
             for mat, mat_t, deg, ws in ((g.u_adj, g.v_adj, g.deg_u, g.ws_v),
                                         (g.v_adj, g.u_adj, g.deg_v, g.ws_u)):
-                for row in range(mat.shape[0]):
+                for row, mask in itertools.product(range(mat.shape[0]), (False, True)):
+                    r = np.full(mat.shape[0], 0.5 if mask else 0.0)
+                    r[row] = 1.0
                     out = np.zeros(mat.shape[1])
-                    pe._push_rows(mat, mat_t, deg, np.array([row]), np.array([1.0]), out, 1.0, ws)
+                    n_p, rows, pushed = pe._push_rows(mat, mat_t, deg, r, out, 1.0, ws,
+                                                      r > 0.5 if mask else None)
+                    # taking the pushed amounts off r clears the row alone
+                    assert n_p == deg[row]
+                    left = r.copy()
+                    left[rows] -= pushed
+                    r[row] = 0.0
+                    np.testing.assert_array_equal(left, r)
                     nbrs = mat.indices[mat.indptr[row] : mat.indptr[row + 1]]
                     expect = np.zeros(mat.shape[1])
                     expect[nbrs] = mat.data[mat.indptr[row] : mat.indptr[row + 1]] / ws[nbrs]

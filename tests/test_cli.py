@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -148,6 +149,7 @@ class TestQueryTopk:
         assert "phase_trace" in trace and "timing" in trace
         fwd, back = trace["phase_trace"]["forward"], trace["phase_trace"]["backward"]
         assert 0.0 <= fwd["power_tail_bound"] <= trace["epsilon"]
+        assert fwd["tail_floor"] >= 0.0
         assert fwd["residue_bound"] >= 0.0 and back["residue_bound"] >= 0.0
         assert fwd["residue_bound"] + back["residue_bound"] <= trace["epsilon"]
         if fwd["terminated_by"] == "budget-switch":
@@ -606,6 +608,17 @@ class TestConfigAndErrors:
                                  "--epsilons", eps, "--queries", "3")
         assert code == EXIT_OK, err
         assert parse_tsv(out)[0]["n"] == 3
+
+    @pytest.mark.parametrize("method", ["ssbipush", "pisp"])
+    def test_subnormal_epsilon_answers(self, index_dir, method):
+        # 1 / 1e-310 overflows a float; the iteration depth must not
+        _, _, idx, _ = index_dir
+        code, out, err = run_cli("topk", "--index", str(idx), "--query", "u0",
+                                 "--method", method, "--epsilon", "1e-310")
+        assert code == EXIT_OK, err
+        assert "Traceback" not in err
+        scores = [float(line.split("\t")[1]) for line in out.splitlines()]
+        assert len(scores) == 10 and all(math.isfinite(s) for s in scores)
 
     @pytest.mark.parametrize("method", ["ssbipush", "pisp"])
     def test_stale_index_is_data_error(self, index_dir, tmp_path, method):

@@ -1,13 +1,18 @@
 """Push kernels: one-sided accuracy, conservation, budgets, determinism."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import bipush.push_engine as pe
 from bipush import (
     BipartiteGraph,
     ResidueLedger,
+    bhpp_query,
     build_index_meta,
     exact_hpp,
     exact_hpp_solve,
@@ -54,6 +59,43 @@ def heavy_pendant_graph(n: int = 5, heavy: float = 1e6):
     return BipartiteGraph(u_labels, v_labels, eu, ev, [1.0] * (n * n + 1) + [heavy])
 
 
+def dense_walk(g):
+    """The hidden U-to-U walk matrix P, dense."""
+    w = g.u_adj.toarray()
+    return (w / g.ws_u[:, None]) @ (w.T / g.ws_v[:, None])
+
+
+def is_connected(g) -> bool:
+    adj = sp.bmat([[None, g.u_adj], [g.u_adj.T, None]])
+    return connected_components(adj, directed=False)[0] == 1
+
+
+def check_bracketed_finish(g, src, eps, out, p=None):
+    """Recompute a switched pi_push's finish from its final residues with a
+    dense P: the depth cap priced on the width of r / ws(u), the first t at
+    which the tail left over the credited floor, priced on the width hi - lo
+    of z_t / ws, is at most eps, that tail and the floor lo."""
+    trace = out.phase_trace
+    ws, ws_max, ws_src = g.ws_u, float(g.ws_u.max()), float(g.ws_u[src])
+    r = out.ledger.residue_u
+    x = ws / ws_src * r
+    hi_cap, lo_cap = float(r.max()) / ws_src, float(r.min()) / ws_src
+
+    def tail(hi, lo, t):
+        return (1 - ALPHA) ** (t + 1) * (min(float(x.sum()), ws_max * (hi - lo)) + ws_src * (hi - lo))
+
+    assert trace["depth_cap"] == required_iterations(ALPHA, eps, tail(hi_cap, lo_cap, -1))
+    z, t, hi, lo = x, 0, hi_cap, lo_cap
+    while t < trace["depth_cap"] and tail(hi, lo, t) > eps:
+        p = dense_walk(g) if p is None else p
+        z, t = z @ p, t + 1
+        hi, lo = min(hi_cap, (z / ws).max()), max(lo_cap, (z / ws).min())
+    assert trace["power_iterations"] == t
+    assert trace["power_tail_bound"] == pytest.approx(tail(hi, lo, t), rel=1e-12)
+    assert trace["tail_floor"] == pytest.approx(lo, rel=1e-12)
+    assert trace["residue_bound"] + trace["backward_bound"] == trace["power_tail_bound"]
+
+
 class TestRequiredIterations:
     def test_frozen_values(self):
         # pinned against a high-precision recomputation of
@@ -65,6 +107,15 @@ class TestRequiredIterations:
     def test_zero_mass_needs_no_iterations(self):
         assert required_iterations(0.15, 1e-6, 0.0) == 0
         assert required_iterations(0.15, 1e-6, -1.0) == 0
+
+    def test_subnormal_epsilon_has_a_finite_depth(self):
+        # mass / epsilon_f overflows a float here; the depth is read off the
+        # difference of the logs instead
+        rate = math.log(1.0 / (1.0 - ALPHA))
+        for eps, mass in ((1e-310, 1.0), (5e-324, 1.0), (5e-324, 1e300)):
+            t = required_iterations(ALPHA, eps, mass)
+            need = math.log(mass) - math.log(eps)
+            assert t * rate < need <= (t + 1) * rate
 
     def test_depth_suffices(self):
         # after t iterations the dropped tail is (1-alpha)^(t+1) * mass
@@ -286,18 +337,22 @@ class TestPiPush:
         self._check(g, 4, out)
 
     @pytest.mark.parametrize("graph, eps, rounds, n_p", [
-        (hub_graph(50), 1e-7, 99, 19750),
+        (hub_graph(50), 1e-7, 1, 150),
         (synth_bipartite(100, 100, 300, (0.0, 10.0), degree_skew=1.2, seed=0), 1e-4, 45, 25533),
     ], ids=["hub", "skew"])
     def test_switches_once_certified_depth_is_zero(self, graph, eps, rounds, n_p):
         # once the residues certify the tail with no power iteration, one
-        # more round would cost n_p and buy nothing
+        # more round would cost n_p and buy nothing; on the connected hub
+        # graph one round leaves every residue within a hair of the others,
+        # so the floor alone certifies the tail
         out = pi_push(graph, 0, ALPHA, float(graph.ws_u.max() / graph.ws_u.min()), eps)
         trace = out.phase_trace
         assert trace["switched_by"] == "cost"
         assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (rounds, 0, 0)
         assert out.ledger.n_p == n_p
         assert trace["residue_bound"] + trace["backward_bound"] <= eps
+        assert (trace["tail_floor"] > 0.0) == is_connected(graph)
+        check_bracketed_finish(graph, 0, eps, out)
         self._check(graph, 0, out)
 
     def test_no_round_at_entry_depth_zero(self):
@@ -339,7 +394,7 @@ class TestPiPush:
         self._check(g, src, out)
 
     def test_paper_budget_caps_rounds_that_pay(self):
-        # Three U nodes share 150 V nodes over thirty decades of weights:
+        # Seven U nodes share 150 V nodes over thirty decades of weights:
         # rounds keep taking iterations off the certified depth for what
         # they cost, so the cost rule would push on, until the paper's
         # budget is spent.
@@ -350,7 +405,8 @@ class TestPiPush:
         out = pi_push(g, 0, ALPHA, build_index_meta(g).lam, 1e-5)
         trace = out.phase_trace
         assert trace["switched_by"] == "cap"
-        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (66, 5, 6)
+        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (66, 4, 4)
+        check_bracketed_finish(g, 0, 1e-5, out)
         self._check(g, 0, out)
 
     @settings(max_examples=60, deadline=None)
@@ -392,16 +448,19 @@ class TestPiPush:
             assert trace["power_tail_bound"] == 0.0
 
     def test_certified_depth_below_mass_depth(self):
-        # On a uniform graph the reversible-walk bound certifies the tail
-        # where the residue mass would ask for 40 iterations.
+        # On a uniform graph the bracket certifies the tail where the
+        # residue mass would ask for 68 iterations: the residues left at the
+        # switch lie so close together that the floor covers all but eps.
         g = synth_bipartite(2000, 2000, 40000, (0.0, 10.0), seed=7)
         lam = float(g.ws_u.max() / g.ws_u.min())
         src, eps = 0, 5e-6
         out = pi_push(g, src, ALPHA, lam, eps)
         assert out.terminated_by == "budget-switch"
         mass = float((g.ws_u / g.ws_u[src] * out.ledger.residue_u).sum())
-        assert out.phase_trace["depth_cap"] < required_iterations(ALPHA, eps, mass) == 40
+        assert out.phase_trace["depth_cap"] < required_iterations(ALPHA, eps, mass) == 68
         assert out.phase_trace["power_tail_bound"] <= eps
+        assert out.phase_trace["tail_floor"] > 0.0
+        check_bracketed_finish(g, src, eps, out)
         # 300 terms leave a tail under 0.85^301 < 1e-20
         start = np.zeros(g.u_count)
         start[src] = 1.0
@@ -410,18 +469,18 @@ class TestPiPush:
         assert diff.max() <= out.phase_trace["residue_bound"] + 1e-12
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
-    @pytest.mark.parametrize("skew", [None, 1.2], ids=["uniform", "skew"])
-    def test_power_iterations_stop_on_their_own_certificate(self, skew, eps):
-        # The finish stops at the first t whose tail, both halves read off the
-        # iterate z_t = x P^t, is at most eps, and never runs past the
-        # a-priori depth certified from x; z_t is recomputed here from a
-        # dense P.
-        g = synth_bipartite(300, 300, 1500, (0.0, 10.0), degree_skew=skew, seed=4)
+    @pytest.mark.parametrize("skew, edges, seed", [(None, 1500, 4), (1.2, 1500, 4), (1.2, 3000, 2)],
+                             ids=["uniform", "skew", "skew-connected"])
+    def test_power_iterations_stop_on_their_own_certificate(self, skew, edges, seed, eps):
+        # The finish stops at the first t whose tail, both halves priced on
+        # the bracket of the iterate z_t = x P^t, is at most eps, and never
+        # runs past the a-priori depth certified from x; z_t is recomputed
+        # here from a dense P. The skew-1.2 graph with 1500 edges has more
+        # than one component, so its floor is 0; the other two are connected.
+        g = synth_bipartite(300, 300, edges, (0.0, 10.0), degree_skew=skew, seed=seed)
         exact = exact_hpp_solve(g, ALPHA)
         lam = build_index_meta(g).lam
-        w = g.u_adj.toarray()
-        p = (w / g.ws_u[:, None]) @ (w.T / g.ws_v[:, None])
-        ws, ws_max = g.ws_u, float(g.ws_u.max())
+        p = dense_walk(g)
         for src in (0, 7, 150):
             out = pi_push(g, src, ALPHA, lam, eps)
             trace = out.phase_trace
@@ -429,33 +488,86 @@ class TestPiPush:
             assert trace["power_iterations"] <= trace["depth_cap"]
             assert trace["power_tail_bound"] <= eps
             if out.terminated_by == "threshold-met":
-                assert (trace["power_iterations"], trace["depth_cap"]) == (0, 0)
+                assert (trace["power_iterations"], trace["depth_cap"], trace["tail_floor"]) == (0, 0, 0.0)
                 continue
-            r = out.ledger.residue_u
-            x = ws / ws[src] * r
-            m_cap = float(r.max()) / ws[src]
-
-            def tail(m, t):
-                return (1 - ALPHA) ** (t + 1) * (min(float(x.sum()), ws_max * m) + ws[src] * m)
-
-            assert trace["depth_cap"] == required_iterations(ALPHA, eps, tail(m_cap, -1))
-            z, t = x, 0
-            while t < trace["depth_cap"] and tail(min(m_cap, (z / ws).max()), t) > eps:
-                z, t = z @ p, t + 1
-            assert trace["power_iterations"] == t
-            assert trace["power_tail_bound"] == pytest.approx(tail(min(m_cap, (z / ws).max()), t), rel=1e-12)
-            assert trace["residue_bound"] + trace["backward_bound"] == trace["power_tail_bound"]
+            assert (trace["tail_floor"] > 0.0) == is_connected(g)
+            check_bracketed_finish(g, src, eps, out, p)
 
     def test_certificate_stops_below_the_cap(self):
-        # On a uniform graph the iterates mix fast: the tail read off them is
-        # certified well before the depth certified from the residues.
-        g = synth_bipartite(300, 300, 1500, (0.0, 10.0), seed=4)
-        src, eps = 7, 1e-7
+        # On a connected skewed graph the pushing from u150 stops paying
+        # while one residue still stands far above the rest, so the depth
+        # certified from the residues is 16; two iterations spread it out and
+        # the bracket read off the iterate certifies the tail.
+        g = synth_bipartite(300, 300, 3000, (0.0, 10.0), degree_skew=1.2, seed=2)
+        src, eps = 150, 1e-3
         out = pi_push(g, src, ALPHA, build_index_meta(g).lam, eps)
         trace = out.phase_trace
         assert out.terminated_by == "budget-switch"
-        assert (trace["power_iterations"], trace["depth_cap"]) == (3, 7)
-        assert trace["power_tail_bound"] <= eps
+        assert (trace["power_iterations"], trace["depth_cap"]) == (2, 16)
+        assert trace["power_tail_bound"] <= eps and trace["tail_floor"] > 0.0
+        check_bracketed_finish(g, src, eps, out)
+        self._check(g, src, out)
+
+
+class TestBracket:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 6.0, 30.0]))
+    def test_two_hop_keeps_z_over_ws_within_its_bracket(self, seed, decades):
+        # The walk is reversible, so (z P)_j / ws_j is a convex combination
+        # of the values z_i / ws_i: one step never lowers their minimum and
+        # never raises their maximum, up to rounding, over weights spread
+        # across up to 30 decades too.
+        rng = np.random.default_rng(seed)
+        g = random_bigraph(rng, int(rng.integers(2, 40)), int(rng.integers(2, 40)),
+                           float(rng.uniform(1.0, 5.0)))
+        w = g.u_weights * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
+        g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_indices, w)
+        p, ws = dense_walk(g), g.ws_u
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(ws[:, None] * p, (ws[:, None] * p).T, rtol=1e-12, atol=0)
+        z = rng.random(g.u_count) * 10.0 ** rng.uniform(-3, 3, g.u_count)
+        z[rng.random(g.u_count) < 0.3] = 0.0
+        step = pe._two_hop(g, z)
+        np.testing.assert_allclose(step, z @ p, rtol=1e-12, atol=0)
+        before, after = z / ws, step / ws
+        assert after.min() >= before.min() * (1 - 1e-12)
+        assert after.max() <= before.max() * (1 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["uniform", "hub", "30-decades"]),
+        st.sampled_from([1e-3, 1e-5, 1e-7]),
+    )
+    def test_floor_keeps_guarantee_on_connected_graphs(self, seed, shape, eps):
+        # On a connected graph the finish credits the floor of the dropped
+        # tail; both halves stay below the truth, within the bounds left
+        # over the floor, and the bounds within eps.
+        rng = np.random.default_rng(seed)
+        if shape == "hub":
+            g = hub_graph(int(rng.integers(3, 40)))
+        else:
+            u_count, v_count = (int(n) for n in rng.integers(5, 60, 2))
+            edges = min(u_count * v_count, 4 * max(u_count, v_count))
+            g = synth_bipartite(u_count, v_count, edges, (0.0, 10.0), seed=seed)
+        if shape == "30-decades":
+            w = g.u_weights * 10.0 ** rng.uniform(-15, 15, g.edge_count)
+            g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u),
+                               g.u_indices, w)
+        assume(is_connected(g))
+        q = int(rng.integers(0, g.u_count))
+        pi = exact_hpp_solve(g, ALPHA)
+        meta = build_index_meta(g)
+        res = bhpp_query(g, meta, q, eps)
+        diff = pi[q, :] + pi[:, q] - res.scores
+        bound = res.phase_trace["backward"]["residue_bound"] + res.phase_trace["forward"]["residue_bound"]
+        assert diff.min() >= -1e-12
+        assert diff.max() <= bound + 1e-12
+        assert bound <= eps
+        out = pi_push(g, q, ALPHA, meta.lam, eps)
+        TestPiPush._check(g, q, out, pi)
+        if out.terminated_by == "budget-switch":
+            check_bracketed_finish(g, q, eps, out)
 
 
 class TestLoopContract:
