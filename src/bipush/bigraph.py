@@ -9,10 +9,12 @@ neighbors) is never materialized.
 
 Every kernel runs on two raw-weight matrices, one per side, that share the
 side's CSR arrays: `u_adj` (|U|x|V|) and `v_adj` (|V|x|U|), both with entry
-w(u, v). No normalized copy of the weights is stored; the kernels divide by
-the receivers' weight sums when they push. `v_adj @ (x / ws_u)` carries a
-distribution x on U one hop to V and `u_adj @ (y / ws_v)` carries y on V
-back to U.
+w(u, v). They are `csr.CsrView`s, not scipy matrices: thin read-only views
+whose `@` calls scipy's compiled CSR mat-vec, so no kernel imports
+`scipy.sparse`. No normalized copy of the weights is stored; the kernels
+divide by the receivers' weight sums when they push. `v_adj @ (x / ws_u)`
+carries a distribution x on U one hop to V and `u_adj @ (y / ws_v)` carries
+y on V back to U.
 
 Graphs are immutable after construction: every array is built eagerly and
 marked read-only. Only the fingerprint is computed on first use.
@@ -28,7 +30,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
+
+from .csr import CsrView, frozen as _frozen, row_slots
 
 CACHE_MAGIC = b"BPGR"
 CACHE_VERSION = 2
@@ -37,12 +40,6 @@ _HEADER = struct.Struct("<4sIQQQ")
 
 class DataError(ValueError):
     """Malformed input data: bad edge lists, bad cache files, bad labels."""
-
-
-def _frozen(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 class BipartiteGraph:
@@ -57,8 +54,10 @@ class BipartiteGraph:
         v_indptr, v_indices, v_weights: V-side CSR (neighbors are U indices).
         ws_u, ws_v: per-node incident weight sums (always positive).
         deg_u, deg_v: per-node neighbor counts (always at least 1).
-        u_adj, v_adj: raw-weight CSR matrices (|U|x|V| and |V|x|U|) that
-            share the U-side and V-side arrays; built eagerly.
+        u_adj, v_adj: raw-weight `CsrView`s (|U|x|V| and |V|x|U|) that
+            share each side's indices and weights; their `indptr` is a copy
+            of the side's offsets in int32 (int64 past 2**31 - 1 edges).
+            Built eagerly.
     """
 
     def __init__(self, u_labels, v_labels, edge_u, edge_v, edge_w):
@@ -138,19 +137,14 @@ class BipartiteGraph:
                     f"({ws.min():g} to {ws.max():g}) to score in float64"
                 )
 
-        # CSR -> CSC is a counting sort that keeps each column's rows in
-        # ascending order, so the V side comes out canonical too.
-        csc = sp.csr_matrix(
-            (weights, indices, indptr), shape=(self.u_count, self.v_count)
-        ).tocsc()
-        self.v_indptr = _frozen(csc.indptr.astype(np.int64))
-        self.v_indices = _frozen(csc.indices.astype(np.int32, copy=False))
-        self.v_weights = _frozen(csc.data)
-        # copy=False shares the graph's own weights and int32 indices.
-        self.u_adj = sp.csr_matrix((self.u_weights, self.u_indices, self.u_indptr),
-                                   shape=(self.u_count, self.v_count), copy=False)
-        self.v_adj = sp.csr_matrix((self.v_weights, self.v_indices, self.v_indptr),
-                                   shape=(self.v_count, self.u_count), copy=False)
+        # The V side is the U side's CSC. The counting sort keeps each
+        # column's rows in ascending order, so it comes out canonical too.
+        self.u_adj = CsrView(self.u_weights, self.u_indices, self.u_indptr,
+                             (self.u_count, self.v_count))
+        self.v_adj = self.u_adj.transpose()
+        self.v_indptr = _frozen(self.v_adj.indptr.astype(np.int64))
+        self.v_indices = _frozen(self.v_adj.indices.astype(np.int32, copy=False))
+        self.v_weights = self.v_adj.data
 
     # -- construction helpers ------------------------------------------------
 
@@ -437,8 +431,8 @@ def k_core_filter(g: BipartiteGraph, k: int) -> BipartiteGraph:
     # neighbor per shared edge, so every edge is counted off once and a long
     # chain of rounds never rescans the whole graph.
     while drop_u.size or drop_v.size:
-        deg_v -= np.bincount(g.u_adj[drop_u].indices, minlength=g.v_count)
-        deg_u -= np.bincount(g.v_adj[drop_v].indices, minlength=g.u_count)
+        deg_v -= np.bincount(g.u_indices[row_slots(g.u_indptr, drop_u, g.deg_u)], minlength=g.v_count)
+        deg_u -= np.bincount(g.v_indices[row_slots(g.v_indptr, drop_v, g.deg_v)], minlength=g.u_count)
         drop_u = np.flatnonzero(keep_u & (deg_u < k))
         drop_v = np.flatnonzero(keep_v & (deg_v < k))
         keep_u[drop_u] = False

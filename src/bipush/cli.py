@@ -401,8 +401,11 @@ def cmd_bench(cfg, out, err) -> int:
     alias = build_alias(g) if "mcsp" in cfg.methods else None
 
     rows: list[dict] = []
-    kept_scores: dict[tuple[str, float], list[np.ndarray]] = {}
+    # Score vectors live only as long as an agreement row needs them: one
+    # epsilon's worth, and none when a single method has nothing to compare.
+    compare = len(cfg.methods) > 1
     for eps in cfg.epsilons:
+        kept_scores: dict[str, list[np.ndarray]] = {}
         for method in cfg.methods:
             budget = cfg.timeout * n
             start = time.perf_counter()
@@ -424,7 +427,8 @@ def cmd_bench(cfg, out, err) -> int:
                 with pool or nullcontext():
                     for r in (pool.map if pool else map)(run_one, enumerate(queries)):
                         times.append(r.timing["total"])
-                        scores.append(r.scores)
+                        if compare:
+                            scores.append(r.scores)
             except DeadlineExceeded:
                 excluded = True
 
@@ -441,11 +445,11 @@ def cmd_bench(cfg, out, err) -> int:
                 }
             )
             if not excluded:
-                kept_scores[(method, eps)] = scores
-        for a, b in combinations([m for m in cfg.methods if (m, eps) in kept_scores], 2):
+                kept_scores[method] = scores
+        for a, b in combinations([m for m in cfg.methods if m in kept_scores], 2):
             diffs = [
                 float(np.abs(sa - sb).max())
-                for sa, sb in zip(kept_scores[(a, eps)], kept_scores[(b, eps)])
+                for sa, sb in zip(kept_scores[a], kept_scores[b])
             ]
             bound = 2.0 * eps
             worst = max(diffs)

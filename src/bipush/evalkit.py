@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .baselines import build_alias, mcsp_query
 from .bhpp_query import IndexMeta, bhpp_query, build_index_meta
@@ -225,6 +224,8 @@ def predict_score(v: int, ui: int, sim, s_size: int, split: EvalSplit) -> float:
 
 def jaccard_rows(g: BipartiteGraph):
     """Row callable: neighbor-set Jaccard coefficients against every U node."""
+    import scipy.sparse as sp  # only here, to keep it off the CLI's imports
+
     binary = sp.csr_matrix(
         (np.ones(g.edge_count), g.u_indices.astype(np.int64), g.u_indptr),
         shape=(g.u_count, g.v_count),

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bigraph import BipartiteGraph, DataError
 
@@ -30,8 +29,12 @@ class DenseHpp:
 def _transition(g: BipartiteGraph) -> np.ndarray:
     """Dense U-to-U transition diag(1/ws_u) U_raw diag(1/ws_v) V_raw: the
     U->V step times the V->U step, built from the raw weights alone."""
-    u_step = sp.diags(1.0 / g.ws_u) @ g.u_adj
-    v_step = sp.diags(1.0 / g.ws_v) @ g.v_adj
+    import scipy.sparse as sp  # only here, to keep it off the CLI's imports
+
+    u_adj = sp.csr_matrix((g.u_weights, g.u_indices, g.u_indptr), shape=(g.u_count, g.v_count))
+    v_adj = sp.csr_matrix((g.v_weights, g.v_indices, g.v_indptr), shape=(g.v_count, g.u_count))
+    u_step = sp.diags(1.0 / g.ws_u) @ u_adj
+    v_step = sp.diags(1.0 / g.ws_v) @ v_adj
     return (u_step @ v_step).toarray()
 
 

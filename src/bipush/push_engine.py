@@ -86,6 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csr import row_slots as _row_slots
+
 # Gather/scatter when the active rows hold under this fraction of all edges;
 # full sparse mat-vec otherwise. Any positive fraction is correct; this one
 # keeps per-round cost tracking n_p instead of |E|.
@@ -351,14 +353,6 @@ def _budget_spent(g, alpha: float, n_p: int, ratio: float) -> bool:
     weighted mass and moves the rest. At entry the budget is 0 and so is
     n_p, so the rule lets the first round run."""
     return n_p > 2.0 * g.edge_count * math.log(1.0 / ratio) / math.log(1.0 / (1.0 - alpha))
-
-
-def _row_slots(indptr, rows, deg):
-    """Global CSR slot indices of all edges incident to the given rows."""
-    counts = deg[rows]
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    flat = np.arange(bounds[-1], dtype=np.int64)
-    return flat - np.repeat(bounds[:-1], counts) + np.repeat(indptr[rows], counts)
 
 
 def _rounds(g, led: ResidueLedger, alpha: float, push_above, stop_at, phase: str,

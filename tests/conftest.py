@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bipush import BipartiteGraph
 
@@ -78,3 +79,11 @@ def random_bigraph(
         edge_v,
         edge_w,
     )
+
+
+def scipy_adj(g: BipartiteGraph, side: str = "u") -> sp.csr_matrix:
+    """One side's raw-weight matrix as a scipy CSR matrix, built from the
+    graph's own arrays: |U|x|V| for side "u", |V|x|U| for side "v"."""
+    if side == "u":
+        return sp.csr_matrix((g.u_weights, g.u_indices, g.u_indptr), shape=(g.u_count, g.v_count))
+    return sp.csr_matrix((g.v_weights, g.v_indices, g.v_indptr), shape=(g.v_count, g.u_count))

@@ -8,7 +8,6 @@ import struct
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import bipush.push_engine as pe
@@ -22,7 +21,8 @@ from bipush import (
     load_edge_list,
     synth_bipartite,
 )
-from conftest import random_bigraph
+from bipush.csr import CsrView
+from conftest import random_bigraph, scipy_adj
 
 
 class TestConstruction:
@@ -116,8 +116,8 @@ class TestDerivedMatrices:
     def test_steps_are_row_stochastic(self):
         rng = np.random.default_rng(11)
         g = random_bigraph(rng, 40, 30, 5.0)
-        np.testing.assert_allclose(g.u_adj.sum(axis=1).A1 / g.ws_u, 1.0, atol=1e-12)
-        np.testing.assert_allclose(g.v_adj.sum(axis=1).A1 / g.ws_v, 1.0, atol=1e-12)
+        np.testing.assert_allclose(scipy_adj(g, "u").sum(axis=1).A1 / g.ws_u, 1.0, atol=1e-12)
+        np.testing.assert_allclose(scipy_adj(g, "v").sum(axis=1).A1 / g.ws_v, 1.0, atol=1e-12)
 
     def test_receiver_normalized_slots(self, monkeypatch):
         # pushing unit mass from one row hands each receiver its share
@@ -187,7 +187,7 @@ class TestDerivedMatrices:
 
         arrays = [
             a for value in vars(g).values()
-            for a in ((value.data, value.indices, value.indptr) if sp.issparse(value) else (value,))
+            for a in ((value.data, value.indices, value.indptr) if isinstance(value, CsrView) else (value,))
         ]
         buffers = {
             id(root(a)) for a in arrays
@@ -196,8 +196,8 @@ class TestDerivedMatrices:
         assert buffers == {id(root(g.u_weights)), id(root(g.v_weights))}
 
     def test_hidden_transition_matches_dense_product(self, g3):
-        u_step = g3.u_adj.toarray() / g3.ws_u[:, None]
-        v_step = g3.v_adj.toarray() / g3.ws_v[:, None]
+        u_step = scipy_adj(g3, "u").toarray() / g3.ws_u[:, None]
+        v_step = scipy_adj(g3, "v").toarray() / g3.ws_v[:, None]
         dense = u_step @ v_step
         expect = np.array([[0.75, 0.25], [0.5, 0.5]])
         np.testing.assert_allclose(dense, expect, atol=1e-15)

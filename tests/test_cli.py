@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import weakref
 
 import pytest
 
@@ -290,6 +291,38 @@ class TestBench:
         )
         assert code == EXIT_OK, err
         assert sorted(seen) == ["pisp"] * 3 + ["ssbipush"] * 3
+
+    @pytest.mark.parametrize("methods, most_alive", [("ssbipush", 1), ("ssbipush,pisp", 5)])
+    def test_bench_keeps_scores_only_for_agreement_rows(self, index_dir, monkeypatch, methods, most_alive):
+        # Before each query, count the score vectors of earlier queries that
+        # are still alive. One method compares nothing, so only the previous
+        # result is. Two methods hold one epsilon's vectors: the first
+        # method's three and the second's so far.
+        import bipush.cli as cli
+
+        refs, alive = [], []
+
+        def spy(real):
+            def wrapper(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in refs))
+                res = real(*args, **kwargs)
+                refs.append(weakref.ref(res.scores))
+                return res
+            return wrapper
+
+        monkeypatch.setattr(cli, "bhpp_query", spy(cli.bhpp_query))
+        monkeypatch.setattr(cli, "pisp_query", spy(cli.pisp_query))
+        _, _, idx, _ = index_dir
+        code, out, err = run_cli(
+            "bench", "--index", str(idx), "--methods", methods,
+            "--epsilons", "1e-2,1e-3", "--queries", "3",
+        )
+        assert code == EXIT_OK, err
+        assert len(alive) == 6 * len(methods.split(","))
+        assert max(alive) == most_alive
+        agreement = [r for r in parse_tsv(out) if r["kind"] == "agreement"]
+        assert len(agreement) == (2 if "," in methods else 0)
+        assert all(r["within"] for r in agreement)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_exclusion_ignores_reported_query_times(self, index_dir, threads, monkeypatch):

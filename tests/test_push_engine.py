@@ -23,7 +23,7 @@ from bipush import (
     ss_push,
     synth_bipartite,
 )
-from conftest import random_bigraph
+from conftest import random_bigraph, scipy_adj
 
 ALPHA = 0.15
 
@@ -61,12 +61,13 @@ def heavy_pendant_graph(n: int = 5, heavy: float = 1e6):
 
 def dense_walk(g):
     """The hidden U-to-U walk matrix P, dense."""
-    w = g.u_adj.toarray()
+    w = scipy_adj(g).toarray()
     return (w / g.ws_u[:, None]) @ (w.T / g.ws_v[:, None])
 
 
 def is_connected(g) -> bool:
-    adj = sp.bmat([[None, g.u_adj], [g.u_adj.T, None]])
+    w = scipy_adj(g)
+    adj = sp.bmat([[None, w], [w.T, None]])
     return connected_components(adj, directed=False)[0] == 1
 
 
