@@ -43,34 +43,55 @@ ws(u) pi_u(i): backward residues and estimates convert to forward ones
 through the ratio ws(u_i)/ws(u), and the backward scores are the forward
 ones scaled by ws(u)/ws(u_i), their error included. pi_push pushes the
 unit ledger at u under per-node thresholds that hold each half of the error
-to eps/2 on a threshold exit, and on a switch finishes the transformed
-residues x with power iterations z_l = x P^l.
+to eps/2 on a threshold exit. On a switch the transformed residues x still
+owe the forward scores y* = alpha sum_l (1-alpha)^l x P^l, the solution of
+y (I - (1-alpha) P) = alpha x, and a finish supplies them.
 
-Reversibility also brackets the tail those iterations drop: (z P)_j / ws_j
-= sum_i P_ji z_i / ws_i is a convex combination of the values z_i / ws_i,
-so lo_l = min_j z_l[j] / ws_j never falls with l and hi_l = max_j z_l[j] /
-ws_j never rises. After t iterations the dropped tail sum_{l>t} alpha
-(1-alpha)^l z_l[j] therefore lies between (1-alpha)^(t+1) ws_j lo_t and
-(1-alpha)^(t+1) ws_j hi_t. pi_push credits the lower end to the scores,
-which stay one-sided because it is a true lower bound, and certifies what
-is left on the width hi_t - lo_t: (1-alpha)^(t+1) * (min(sum x, ws_max *
-(hi_t - lo_t)) + ws(u) * (hi_t - lo_t)) bounds both halves together, the
-first term the forward half (by the L1 mass, or entrywise by the width)
-and the second its reflection. lo is the minimum over all of U, so on a
-graph with more than one component it is 0 and the bound is the
-ceiling-only one. The tail is certified twice. A priori, from the residues
-at the switch, where x / ws = r / ws(u): the smallest t whose bound on the
-width (max r - min r) / ws(u) is at most eps. A posteriori, from the
-iterate z_t itself: the same bound on its own lo_t and hi_t, kept within
-the values at the switch, which is valid at every t and only tightens. The
-iterations stop at the first t whose a-posteriori tail is at most eps,
-checked before the first one too, and never run past the a-priori depth,
-which keeps the paper's complexity bound. pi_push switches on cost first: a
-power iteration costs 2|E| of n_p, so before each round it switches once
-the last round's n_p exceeded 2|E| times the drop in a-priori depth that
-round bought, or once that depth is zero, at entry included (the trace's
-switched_by is "cost"). The paper's budget stays as a cap (switched_by
-"cap"), so its complexity bound still holds.
+Reversibility also brackets every walk: for any z, signed or not,
+(z P)_j / ws_j = sum_i P_ji z_i / ws_i is a convex combination of the
+values z_i / ws_i, so it lies between their minimum lo and maximum hi, and
+as P's rows sum to 1, (z P)_j lies between -sum z^- and sum z^+. Both
+hold for every z P^l, so T(z) = alpha sum_l (1-alpha)^l z P^l obeys
+
+    max(lo ws_j, -sum z^-) <= T(z)_j <= min(hi ws_j, sum z^+).
+
+The finish credits the lower end, which keeps the scores one-sided, and
+certifies what is left: the largest gap for the forward half, and the
+largest ws(u) / ws_j times it for the backward half, the forward one
+scaled by ws(u) / ws(u_i). At the switch z = x is nonnegative and lo and
+hi are those of r / ws(u): if (1-alpha) * (min(sum x, ws_max (hi - lo)) +
+ws(u) (hi - lo)), the bracket of the tail past alpha x, is at most eps,
+the finish is alpha x plus the floor (1-alpha) lo ws and runs no step.
+Otherwise it runs conjugate gradients (Hestenes and Stiefel, 1952) from
+y = alpha x. The operator y -> y (I - (1-alpha) P) is self-adjoint in
+<a, c> = sum a_i c_i / ws_i, by reversibility again, with its spectrum in
+[alpha, 1], P being similar to a positive semidefinite matrix whose
+spectrum lies in [0, 1]. CG therefore shrinks the energy norm of the error
+by tau = (1 - sqrt(alpha)) / (1 + sqrt(alpha)) a step or more. Every exit
+is certified on the recomputed residual rho = alpha x - y + (1-alpha) y P,
+for y* - y = rho (I - (1-alpha) P)^-1 = T(rho) / alpha: the scores gain
+the bracket's lower end over alpha, clipped so that no score is negative
+(the true ones are not), and the bounds are its gaps over alpha. lo may be
+negative here. The steps stop once the two bounds sum to at most eps,
+read off CG's updated residual after each step and confirmed on the
+recomputed one. In exact arithmetic ||rho_k||_{1/ws} <= 2 tau^k
+||rho_0||_{1/ws} / sqrt(alpha), and |rho_i| / ws_i <= ||rho||_{1/ws} /
+sqrt(ws_min), so the finish certifies by the smallest k with
+4 (ws_max + ws(u)) ||rho_0||_{1/ws} tau^k <= alpha^(3/2) sqrt(ws_min) eps,
+a step count logarithmic in 1/eps. That k is the cap. Where rounding
+leaves the cap uncertified, CG restarts from the recomputed residual as
+long as that lowers its energy; once rounding stops it falling (an eps
+near the float64 floor) the finish returns the bound it certified, above
+eps.
+
+pi_push switches on cost first. A CG step costs 2|E| of n_p, and a round
+boundary prices the finish at tau: its a-priori depth is the smallest k
+with tau^k (1-alpha) (min(sum x, ws_max w) + ws(u) w) <= eps, w being the
+width (max r - min r) / ws(u), so depth 0 is the bracket exit. Before each
+round pi_push switches once the last round's n_p exceeded 2|E| times the
+drop in that depth, or once the depth is zero, at entry included (the
+trace's switched_by is "cost"). The paper's budget stays as a cap
+(switched_by "cap"), so its complexity bound still holds.
 
 Cost model: every push adds the pushed node's degree to n_p, and the
 kernels' actual work is proportional to n_p. Rounds run over the whole
@@ -123,22 +144,35 @@ class PushOutcome:
     scores: np.ndarray | None = None
 
 
-def required_iterations(alpha: float, epsilon_f: float, mass: float) -> int:
-    """Power-iteration depth t with truncation deficit at most epsilon_f.
+def required_iterations(alpha: float, epsilon_f: float, mass: float, rate: float | None = None) -> int:
+    """Iteration depth t with truncation deficit at most epsilon_f.
 
-    The dropped tail after t rounds is (1-alpha)^(t+1) * mass, so
-    t = max(0, ceil(log_{1/(1-alpha)}(mass / epsilon_f)) - 1). Where the
-    ratio leaves the float range (a subnormal epsilon_f) its log is taken
-    as a difference of logs.
+    Each iteration shrinks the deficit by `rate`, power iteration's 1-alpha
+    by default, so the deficit after t of them is rate^(t+1) * mass and
+    t = max(0, ceil(log_{1/rate}(mass / epsilon_f)) - 1). Where the ratio
+    leaves the float range (a subnormal epsilon_f) its log is taken as a
+    difference of logs.
     """
     _check_alpha(alpha)
     if epsilon_f <= 0:
         raise ValueError("epsilon_f must be positive")
+    rate = 1.0 - alpha if rate is None else rate
+    if not 0.0 < rate < 1.0:
+        raise ValueError("rate must lie strictly between 0 and 1")
     if mass <= 0:
         return 0
     ratio = mass / epsilon_f
     log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(mass) - math.log(epsilon_f)
-    return max(0, math.ceil(log_ratio / math.log(1.0 / (1.0 - alpha))) - 1)
+    return max(0, math.ceil(log_ratio / math.log(1.0 / rate)) - 1)
+
+
+def _cg_rate(alpha: float) -> float:
+    """Conjugate gradients' worst-case rate on y (I - (1-alpha) P) = b:
+    (1 - sqrt(alpha)) / (1 + sqrt(alpha)), from the condition number
+    1 / alpha of an operator whose spectrum lies in [alpha, 1]."""
+    _check_alpha(alpha)
+    root = math.sqrt(alpha)
+    return (1.0 - root) / (1.0 + root)
 
 
 def power_iteration(g, start: np.ndarray, alpha: float, t: int) -> np.ndarray:
@@ -227,20 +261,20 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
 
     Pushes the unit ledger at source_u under per-node residue thresholds
     min(eps/2, ws(u)/ws(u_i) * (eps/2) / lam), then, unless the thresholds
-    were met, finishes with power iterations (see the module docstring for
-    the switch rule and the tail bound). The trace's residue_bound certifies
-    the forward scores (0 <= true - score <= residue_bound) and its
-    backward_bound the backward ones read off them; the two sum to at most
-    epsilon. On threshold exit they are lam * max x and max r, each at most
-    eps/2, x being the transformed residues ws(u_i)/ws(u) * r(u_i). After a
-    switch (switched_by "cost" or "cap") the scores hold the floor of the
-    dropped tail, (1-alpha)^(t+1) * lo * ws(u_i) for node u_i after t
-    iterations, and the bounds are the halves of what is left, priced on
-    the width hi - lo of z_t / ws read off the last iterate (the bracket in
-    the module docstring): power_tail_bound is their sum, tail_floor the lo
-    credited (0.0 on a threshold exit, and on a graph with more than one
-    component), power_iterations the iterations run, and depth_cap the
-    a-priori depth, priced on the width at the switch.
+    were met, finishes the transformed residues x = ws(u_i)/ws(u) * r(u_i)
+    (see the module docstring for the switch rule, the finish and its
+    certificate). The trace's residue_bound certifies the forward scores
+    (0 <= true - score <= residue_bound) and its backward_bound the backward
+    ones read off them; the two sum to at most epsilon. On threshold exit
+    they are lam * max x and max r, each at most eps/2. After a switch
+    (switched_by "cost" or "cap") they are the halves of what the finish
+    left uncertain: power_tail_bound is their sum and tail_floor the lo of
+    the bracket whose lower end the scores were credited, that of x / ws
+    when the bracket at the switch certifies the tail with no step, and
+    min rho / ws of the final residual rho, which may be negative,
+    otherwise. power_iterations counts the conjugate-gradient steps run and
+    depth_cap the step by which exact arithmetic certifies (0 when none
+    ran).
 
     lam must upper-bound every column sum of the hidden walk-score matrix.
     """
@@ -258,6 +292,7 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
     theta = np.minimum(half, (ws_src / ws) * (half / lam))
     ws_max = float(ws.max())
     mass = 1.0  # sum x
+    rate = _cg_rate(alpha)
 
     def halves(w: float) -> tuple[float, float]:
         # The forward and backward bounds on one term of the series, over
@@ -271,17 +306,20 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
         return float(r.max()) / ws_src, float(r.min()) / ws_src
 
     def priced_depth() -> int:
+        # The finish starts from alpha x, which leaves (1-alpha) times the
+        # bracket's bound, and each conjugate-gradient step takes rate off
+        # that: the smallest k with rate^k (1-alpha) bound <= eps.
         hi, lo = bracket()
-        return required_iterations(alpha, epsilon, sum(halves(hi - lo)))
+        return required_iterations(alpha, epsilon, (1.0 - alpha) / rate * sum(halves(hi - lo)), rate)
 
     depth = priced_depth()
     round_start = 0
     switched_by = None
 
     def spent() -> bool:
-        # A power iteration costs 2|E| of n_p: switch once the last round's
-        # n_p outweighs the iterations it took off the certified depth, or
-        # no round can take any off. The paper's budget caps the pushing
+        # A conjugate-gradient step costs 2|E| of n_p: switch once the last
+        # round's n_p outweighs the steps it took off the certified depth,
+        # or no round can take any off. The paper's budget caps the pushing
         # either way.
         nonlocal mass, depth, round_start, switched_by
         mass = float((w_ratio * led.residue_u).sum())
@@ -312,29 +350,100 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
         "n_p": led.n_p,
     }
     if not met:
-        # Sum alpha * (1-alpha)^t * z_t over z_t = x P^t until the tail read
-        # off z_t is certified. z_t / ws stays within the bracket [lo, hi] of
-        # every earlier iterate, so its values at the switch cap it, and the
-        # a-priori depth, certified from them, caps the loop.
-        hi_cap, lo_cap = bracket()
-        z, total, t = x, x.copy(), 0
-        decay, lo = 1.0 - alpha, lo_cap
-        fwd_tail, back_tail = (decay * h for h in halves(hi_cap - lo))
-        while t < depth and fwd_tail + back_tail > epsilon:
-            z = _two_hop(g, z)
-            t += 1
-            total += (1.0 - alpha) ** t * z
-            decay = (1.0 - alpha) ** (t + 1)
-            q = z / ws
-            hi, lo = min(hi_cap, float(q.max())), max(lo_cap, float(q.min()))
-            fwd_tail, back_tail = (decay * h for h in halves(hi - lo))
-        # The dropped tail is at least (1-alpha)^(t+1) * lo * ws entrywise:
-        # credit that floor.
-        scores = scores + alpha * total + (decay * lo) * ws
-        trace.update(power_iterations=t, depth_cap=depth, power_tail_bound=fwd_tail + back_tail,
+        hi, lo = bracket()
+        fwd_tail, back_tail = ((1.0 - alpha) * h for h in halves(hi - lo))
+        steps = cap = 0
+        if fwd_tail + back_tail <= epsilon:
+            # The tail past alpha x lies above (1-alpha) lo ws entrywise, and
+            # the bracket certifies the rest: credit that floor.
+            scores = scores + alpha * x + ((1.0 - alpha) * lo) * ws
+        else:
+            y, steps, cap, lo, fwd_tail, back_tail = _cg_finish(g, x, alpha, epsilon, ws_src)
+            # The true scores are nonnegative, so clipping keeps them
+            # one-sided.
+            scores = np.maximum(scores + y, 0.0)
+        trace.update(power_iterations=steps, depth_cap=cap, power_tail_bound=fwd_tail + back_tail,
                      tail_floor=lo, residue_bound=fwd_tail, backward_bound=back_tail,
                      switched_by=switched_by)
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch", scores=scores)
+
+
+def _cg_finish(g, x: np.ndarray, alpha: float, epsilon: float, ws_src: float):
+    """Solve y (I - (1-alpha) P) = alpha x by conjugate gradients from
+    y = alpha x, in the inner product <a, c> = sum a_i c_i / ws_i, and
+    certify on the recomputed residual (module docstring). Returns the
+    scores y with the certified floor credited, the steps run, the cap, the
+    floor lo and the forward and backward bounds."""
+    ws = g.ws_u
+    ax = alpha * x
+    # ws(u) <a, c>: CG's steps are ratios of inner products, so scaling
+    # them all by ws(u) changes none of them, and it keeps every term of
+    # these sums at most about 1, whatever the weights' range.
+    scale = ws_src / ws
+
+    def inner(a, c):
+        return float((a * scale * c).sum())
+
+    def residual(y):
+        return ax - y + (1.0 - alpha) * _two_hop(g, y)
+
+    def certify(rho):
+        # y* - y = T(rho) / alpha with T(rho)_j between low_j and high_j;
+        # returns low, lo and the forward and backward gaps left over it.
+        q = rho / ws
+        lo, hi = float(q.min()), float(q.max())
+        low = np.maximum(lo * ws, float(np.minimum(rho, 0.0).sum()))
+        width = np.minimum(hi * ws, float(np.maximum(rho, 0.0).sum())) - low
+        return low, lo, float(width.max()) / alpha, ws_src / alpha * float((width / ws).max())
+
+    def energy(y, rho):
+        # Twice CG's quadratic, -<y, alpha x + rho>: the squared energy norm
+        # of the error up to a constant, which no step raises.
+        return -inner(y, ax + rho)
+
+    y, steps, cap, level = ax, 0, 0, math.inf
+    rho = residual(y)
+    low, lo, fwd, back = certify(rho)
+    # Past the cap only rounding leaves the finish uncertified: restart from
+    # the true residual while that still lowers the energy.
+    while fwd + back > epsilon and (now := energy(y, rho)) < level:
+        level = now
+        cap = steps + _cg_steps(alpha, epsilon, rho, ws, ws_src)
+        r = p = rho
+        rr = inner(r, r)
+        while steps < cap and rr > 0.0:
+            ap = p - (1.0 - alpha) * _two_hop(g, p)
+            pap = inner(p, ap)
+            a = rr / pap if pap > 0.0 else math.inf
+            if not math.isfinite(a):
+                break
+            y = y + a * p
+            r = r - a * ap
+            steps += 1
+            if sum(certify(r)[2:]) <= epsilon:
+                break
+            rr, rr_prev = inner(r, r), rr
+            p = r + (rr / rr_prev) * p
+        rho = residual(y)
+        low, lo, fwd, back = certify(rho)
+    return y + low / alpha, steps, cap, lo, fwd, back
+
+
+def _cg_steps(alpha: float, epsilon: float, rho: np.ndarray, ws: np.ndarray, ws_src: float) -> int:
+    """Steps after which conjugate gradients from residual rho certify in
+    exact arithmetic: the smallest k with
+    4 (ws_max + ws_src) ||rho||_{1/ws} tau^k <= alpha^(3/2) sqrt(ws_min) eps,
+    tau being _cg_rate(alpha). Taken in logs, so no weight range and no
+    subnormal epsilon overflows it."""
+    q = np.abs(rho / ws)
+    m = float(q.max())
+    if m == 0.0:
+        return 0
+    ws_max, ws_min = float(ws.max()), float(ws.min())
+    log_norm = math.log(m) + 0.5 * math.log(float((ws * (q / m) ** 2).sum()))
+    log_need = (math.log(4.0 * (1.0 + ws_src / ws_max)) + math.log(ws_max) + log_norm
+                - 1.5 * math.log(alpha) - 0.5 * math.log(ws_min) - math.log(epsilon))
+    return max(0, math.ceil(log_need / -math.log(_cg_rate(alpha))))
 
 
 # -- round primitives ---------------------------------------------------------

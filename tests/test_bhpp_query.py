@@ -160,6 +160,43 @@ class TestBhppQuery:
         if fwd["terminated_by"] == "budget-switch":
             assert fwd["switched_by"] in ("cost", "cap")
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 30.0, 300.0]),
+        st.sampled_from(["hub", "random"]),
+        st.sampled_from([1e-4, 1e-6]),
+    )
+    def test_signed_residuals_keep_the_guarantee(self, seed, parts, decades, at, eps):
+        # One to three skewed components, queried at their widest hub or at
+        # random, with per-edge weights spread over up to 300 decades, at an
+        # epsilon where conjugate-gradient steps run: their residuals take
+        # both signs, the floor of their bracket can be negative, and the
+        # scores still stay finite, nonnegative and within eps below the
+        # truth, under a bound that is at most eps.
+        rng = np.random.default_rng(seed)
+        g = _disjoint_union([
+            synth_bipartite(int(u), int(v), int(2 * max(u, v)), (1.0, 10.0), float(rng.uniform(1.0, 2.5)),
+                            seed + k)
+            for k, (u, v) in enumerate(rng.integers(4, 40, (parts, 2)))
+        ])
+        w = g.u_weights * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
+        try:
+            g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_indices, w)
+        except DataError:
+            assume(False)  # a weight-sum ratio past the float64 range
+        q = int(np.argmax(g.deg_u)) if at == "hub" else int(rng.integers(0, g.u_count))
+        res = bhpp_query(g, build_index_meta(g), q, eps)
+        fwd, back = res.phase_trace["forward"], res.phase_trace["backward"]
+        assume(fwd["power_iterations"] > 0)
+        pi = exact_hpp_solve(g, ALPHA)
+        diff = pi[q, :] + pi[:, q] - res.scores
+        assert np.isfinite(res.scores).all() and res.scores.min() >= 0.0
+        assert diff.min() >= -1e-12
+        assert diff.max() <= eps + 1e-12
+        assert fwd["residue_bound"] + back["residue_bound"] <= eps
+
     def test_label_and_index_queries_agree(self):
         g = synth_bipartite(25, 20, 120, seed=11)
         meta = build_index_meta(g)
@@ -259,15 +296,27 @@ class TestBhppQuery:
 # bhpp_query answers in TestBitIdentity, and over the scores and phase_trace
 # of pisp_query on the same queries. A change that moves any of them re-pins
 # its value and says why in CHANGES.md.
-PINNED_DIGEST = "c1f92ef36caaf6dfc929690c13c2c6a939a52ac1f4f387720b7a5a1fde31727b"
+PINNED_DIGEST = "b2ec9a3eb3b8c8f0b64676f622e8abeb54deb6c9656064a6bd08c429366bcd6b"
 PINNED_PISP_DIGEST = "ef2fa903548fe9fab3e116b94dceae3f74651bfb4214d4bbbd47f345659cf2af"
 
 
 # sha256 over the scores and phase_trace of bhpp_query on a graph with two
-# components, the trace's tail_floor left out: the digest the ceiling-only
-# certificate gave before the floor was credited. The floor is 0 on such a
-# graph, so it must not move.
-PINNED_TWO_COMPONENT_DIGEST = "b74750bae7d044a275cd84ec2de3eff8b8f77f64f1bb1c6971aa42d9ebba347f"
+# components, the trace's tail_floor left out. A change that moves it
+# re-pins its value and says why in CHANGES.md.
+PINNED_TWO_COMPONENT_DIGEST = "4276874e9abccd60c898340315256ad3e315282b290dcaa35cb5a23db51fe86d"
+
+
+def _disjoint_union(graphs):
+    """One graph whose components are the given graphs, labels prefixed by
+    their position."""
+    u_labels, v_labels, eu, ev, w = [], [], [], [], []
+    for k, g in enumerate(graphs):
+        eu.append(np.repeat(np.arange(g.u_count), g.deg_u) + len(u_labels))
+        ev.append(g.u_indices + len(v_labels))
+        w.append(g.u_weights)
+        u_labels += [f"{k}.{label}" for label in g.u_labels]
+        v_labels += [f"{k}.{label}" for label in g.v_labels]
+    return BipartiteGraph(u_labels, v_labels, np.concatenate(eu), np.concatenate(ev), np.concatenate(w))
 
 
 def _two_component_graph():
@@ -300,16 +349,19 @@ class TestBitIdentity:
         assert h.hexdigest() == PINNED_DIGEST
 
     def test_floor_is_zero_on_a_graph_with_two_components(self):
-        # the isolated edge keeps lo at 0, so every answer, the isolated
-        # node's own included, is the one the ceiling-only certificate gave;
-        # without it the same graph credits a floor
+        # The isolated edge holds no residue and no residual, so the floor
+        # credited is 0 where the finish runs no conjugate-gradient step and
+        # at most 0 where it does, every answer included, the isolated
+        # node's own; without it the same graph credits a positive floor
         g = _two_component_graph()
         meta = build_index_meta(g)
         h = hashlib.sha256()
         for q in (1, 7, 99, 400):
             for eps in (1e-2, 1e-4, 1e-6):
                 r = bhpp_query(g, meta, q, eps)
-                assert r.phase_trace["forward"].pop("tail_floor") == 0.0
+                fwd = r.phase_trace["forward"]
+                floor = fwd.pop("tail_floor")
+                assert floor == 0.0 if fwd["power_iterations"] == 0 else floor <= 0.0
                 h.update(r.scores.tobytes())
                 h.update(json.dumps(r.phase_trace, sort_keys=True).encode())
         assert h.hexdigest() == PINNED_TWO_COMPONENT_DIGEST

@@ -150,7 +150,8 @@ class TestQueryTopk:
         assert "phase_trace" in trace and "timing" in trace
         fwd, back = trace["phase_trace"]["forward"], trace["phase_trace"]["backward"]
         assert 0.0 <= fwd["power_tail_bound"] <= trace["epsilon"]
-        assert fwd["tail_floor"] >= 0.0
+        # only a conjugate-gradient residual's floor can be negative
+        assert fwd["tail_floor"] >= 0.0 or fwd["power_iterations"] > 0
         assert fwd["residue_bound"] >= 0.0 and back["residue_bound"] >= 0.0
         assert fwd["residue_bound"] + back["residue_bound"] <= trace["epsilon"]
         if fwd["terminated_by"] == "budget-switch":
@@ -323,6 +324,41 @@ class TestBench:
         agreement = [r for r in parse_tsv(out) if r["kind"] == "agreement"]
         assert len(agreement) == (2 if "," in methods else 0)
         assert all(r["within"] for r in agreement)
+
+    def test_threaded_bench_matches_serial_bit_for_bit(self, tmp_path, monkeypatch):
+        # The finish sums its inner products as numpy reductions, with no
+        # BLAS threads to reorder them. On a skew graph with several
+        # components, where every query runs conjugate-gradient steps, a
+        # repeated query and a bench with two threads give the serial
+        # answers bit for bit, scores and traces alike.
+        import bipush.cli as cli
+
+        graph, idx = tmp_path / "skew.tsv", tmp_path / "idx"
+        code, _, err = run_cli("synth", "--u-count", "300", "--v-count", "300", "--edge-count", "1200",
+                               "--skew", "1.2", "--seed", "0", "--out", str(graph))
+        assert code == EXIT_OK, err
+        code, _, err = run_cli("preprocess", "--graph", str(graph), "--out-dir", str(idx))
+        assert code == EXIT_OK, err
+        real = cli.bhpp_query
+        answers = {}
+
+        def record(threads):
+            def wrapper(g, meta, q, eps):
+                res = real(g, meta, q, eps)
+                again = real(g, meta, q, eps)
+                assert again.scores.tobytes() == res.scores.tobytes()
+                assert again.phase_trace == res.phase_trace
+                answers.setdefault(threads, {})[q] = (res.scores.tobytes(), res.phase_trace)
+                return res
+            return wrapper
+
+        for threads in ("1", "2"):
+            monkeypatch.setattr(cli, "bhpp_query", record(threads))
+            code, _, err = run_cli("bench", "--index", str(idx), "--methods", "ssbipush", "--epsilons", "1e-4",
+                                   "--queries", "8", "--threads", threads)
+            assert code == EXIT_OK, err
+        assert len(answers["1"]) == 8 and answers["1"] == answers["2"]
+        assert all(trace["forward"]["power_iterations"] > 0 for _, trace in answers["1"].values())
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_exclusion_ignores_reported_query_times(self, index_dir, threads, monkeypatch):
