@@ -144,8 +144,10 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     query_u may be a label or a U index. One pi_push answers the query; its
     trace's backward_bound becomes the backward phase's residue_bound, and
     that phase does no work of its own. Raises DataError when the metadata
-    was built for a different graph or the scores come out non-finite,
-    ValueError when epsilon (or its half) is not positive and finite.
+    was built for a different graph, when the scores come out non-finite,
+    and when the two certified bounds sum to more than epsilon, which only
+    an epsilon near float64's rounding floor brings about; ValueError when
+    epsilon (or its half) is not positive and finite.
     """
     meta.check_graph(g)
     q = resolve_query(g, query_u)
@@ -164,6 +166,12 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
         "n_p": 0,
         "terminated_by": fwd.terminated_by,
     }
+    bound = forward["residue_bound"] + backward["residue_bound"]
+    if not bound <= epsilon:
+        raise DataError(
+            f"query {g.u_labels[q]!r} is certified only to {bound:g}, above epsilon "
+            f"{epsilon:g}: float64 rounding cannot certify a finer epsilon"
+        )
     return QueryResult(
         method="ssbipush",
         query_index=q,

@@ -36,6 +36,9 @@ from .csr import CsrView, frozen as _frozen, row_slots
 CACHE_MAGIC = b"BPGR"
 CACHE_VERSION = 2
 _HEADER = struct.Struct("<4sIQQQ")
+# Edges a graph's checks and weight sums visit at a time, so that their
+# temporaries stay this size however many edges the graph has.
+_BLOCK = 1 << 14
 
 
 class DataError(ValueError):
@@ -93,8 +96,10 @@ class BipartiteGraph:
         The U-side CSR must already be canonical: indptr runs from 0 to the
         edge count without decreasing, and each row's indices are in range
         and strictly increasing. Both `__init__` and `from_bytes` end here.
+        Apart from the arrays the graph keeps, nothing here allocates more
+        than `_BLOCK` edges' worth at a time.
         """
-        if not ((weights > 0) & (weights < np.inf)).all():
+        if not (weights.min() > 0 and weights.max() < np.inf):  # both false for NaN
             raise DataError("edge weights must be positive and finite")
         self.u_count = len(u_labels)
         self.v_count = len(v_labels)
@@ -113,19 +118,28 @@ class BipartiteGraph:
         self.u_indices = _frozen(indices)
         self.u_weights = _frozen(weights)
         self.deg_u = _frozen(np.diff(indptr))
-        self.deg_v = _frozen(np.bincount(indices, minlength=self.v_count))
         if (self.deg_u == 0).any():
             i = int(np.flatnonzero(self.deg_u == 0)[0])
             raise DataError(f"isolated node on U side: {u_labels[i]!r}")
+
+        # The V side is the U side's CSC. The counting sort keeps each
+        # column's rows in ascending order, so it comes out canonical too.
+        self.u_adj = CsrView(self.u_weights, self.u_indices, self.u_indptr,
+                             (self.u_count, self.v_count))
+        self.v_adj = self.u_adj.transpose()
+        self.v_indptr = _frozen(self.v_adj.indptr.astype(np.int64))
+        self.v_indices = _frozen(self.v_adj.indices.astype(np.int32, copy=False))
+        self.v_weights = self.v_adj.data
+        self.deg_v = _frozen(np.diff(self.v_indptr))
         if (self.deg_v == 0).any():
             i = int(np.flatnonzero(self.deg_v == 0)[0])
             raise DataError(f"isolated node on V side: {v_labels[i]!r}")
 
-        # Each edge's U endpoint (8 bytes an edge) lives only for this sum,
-        # so the load's peak never holds it beside the V side's conversion.
-        self.ws_u = _frozen(np.bincount(np.repeat(np.arange(self.u_count), self.deg_u),
-                                        weights=weights, minlength=self.u_count))
-        self.ws_v = _frozen(np.bincount(indices, weights=weights, minlength=self.v_count))
+        # A V row lists its weights in ascending U order, the order a pass
+        # over the U side's edges meets them, so each sum adds its terms as
+        # `np.bincount` over those edges would.
+        self.ws_u = _frozen(_row_sums(self.u_indptr, self.u_weights))
+        self.ws_v = _frozen(_row_sums(self.v_indptr, self.v_weights))
         # The kernels divide weight sums by one another; a ratio that
         # overflows would turn scores into NaN.
         for side, ws in (("U", self.ws_u), ("V", self.ws_v)):
@@ -136,15 +150,6 @@ class BipartiteGraph:
                     f"weight sums on the {side} side span too wide a range "
                     f"({ws.min():g} to {ws.max():g}) to score in float64"
                 )
-
-        # The V side is the U side's CSC. The counting sort keeps each
-        # column's rows in ascending order, so it comes out canonical too.
-        self.u_adj = CsrView(self.u_weights, self.u_indices, self.u_indptr,
-                             (self.u_count, self.v_count))
-        self.v_adj = self.u_adj.transpose()
-        self.v_indptr = _frozen(self.v_adj.indptr.astype(np.int64))
-        self.v_indices = _frozen(self.v_adj.indices.astype(np.int32, copy=False))
-        self.v_weights = self.v_adj.data
 
     # -- construction helpers ------------------------------------------------
 
@@ -251,11 +256,14 @@ class BipartiteGraph:
         if indices.min() < 0 or indices.max() >= v_count:
             raise DataError("edge endpoint out of range in graph cache")
         # Within a row indices must strictly increase; a step that does not
-        # is allowed only where a new row starts.
-        row_start = np.zeros(edge_count + 1, dtype=bool)
-        row_start[indptr] = True
-        if not ((np.diff(indices) > 0) | row_start[1:edge_count]).all():
-            raise DataError("graph cache rows are unsorted or repeat an edge")
+        # is allowed only where a new row starts. A block at a time: the
+        # steps into edges a..b-1, with the row starts among them exempt.
+        for a in range(1, edge_count, _BLOCK):
+            b = min(a + _BLOCK, edge_count)
+            ok = np.diff(indices[a - 1:b]) > 0
+            ok[indptr[np.searchsorted(indptr, a):np.searchsorted(indptr, b)] - a] = True
+            if not ok.all():
+                raise DataError("graph cache rows are unsorted or repeat an edge")
 
         blob = buf[blob_at:]
         if offsets[0] != 0 or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any():
@@ -265,6 +273,7 @@ class BipartiteGraph:
             labels = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
         except UnicodeDecodeError as exc:
             raise DataError(f"graph cache label is not valid UTF-8: {exc.reason}") from None
+        del bounds  # a Python int per label; the V side's build need not hold it
 
         g = cls.__new__(cls)
         g._finish(labels[:u_count], labels[u_count:], indptr, indices, weights)
@@ -297,6 +306,25 @@ class BipartiteGraph:
             f"BipartiteGraph(u={self.u_count}, v={self.v_count}, "
             f"edges={self.edge_count})"
         )
+
+
+def _row_sums(indptr, data) -> np.ndarray:
+    """Each CSR row's entries added left to right from 0.0, bit for bit as
+    `np.bincount` over the entries' row ids adds them, `_BLOCK` entries at
+    a time. A row that runs on into a block brings its partial sum in as
+    the block's first term, so no row's sum is split."""
+    sums = np.zeros(indptr.size - 1)
+    for a in range(0, data.size, _BLOCK):
+        b = min(a + _BLOCK, data.size)
+        # Rows first..last-1 hold the block's entries; first may start before it.
+        first = int(np.searchsorted(indptr, a, side="right")) - 1
+        last = int(np.searchsorted(indptr, b))
+        counts = np.diff(np.clip(indptr[first:last + 1], a, b))
+        counts[0] += 1
+        terms = np.concatenate(([sums[first]], data[a:b]))
+        sums[first:last] = np.bincount(np.repeat(np.arange(last - first), counts),
+                                       weights=terms, minlength=last - first)
+    return sums
 
 
 def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGraph:

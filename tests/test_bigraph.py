@@ -4,12 +4,16 @@ import gc
 import hashlib
 import io
 import itertools
+import re
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bipush.bigraph as bigraph
 import bipush.push_engine as pe
 from bipush import (
     BipartiteGraph,
@@ -357,6 +361,134 @@ class TestSerialization:
         BipartiteGraph.from_bytes(_v2_cache())
         with pytest.raises(DataError):
             BipartiteGraph.from_bytes(_v2_cache(**override))
+
+    UNSORTED = "graph cache rows are unsorted or repeat an edge"
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("first-edge", UNSORTED),
+            ("last-edge", UNSORTED),
+            ("before-block-edge", UNSORTED),
+            ("at-block-edge", UNSORTED),
+            ("after-block-edge", UNSORTED),
+            ("nan-last-weight", "edge weights must be positive and finite"),
+            ("isolated-v-node", "isolated node on V side: 'v200'"),
+        ],
+    )
+    def test_corrupt_cache_past_one_block_rejected(self, case, message):
+        # Every U node joins all 200 V nodes, in rows of 200 edges, so no
+        # row starts near the block edge; the cache spans three blocks.
+        block = bigraph._BLOCK
+        u_count = (2 * block) // 200 + 2
+        fields = dict(
+            u_labels=[f"u{i}" for i in range(u_count)],
+            v_labels=[f"v{j}" for j in range(200)],
+            indptr=np.arange(u_count + 1) * 200,
+            indices=np.tile(np.arange(200), u_count),
+            weights=np.random.default_rng(5).uniform(1.0, 2.0, 200 * u_count),
+        )
+        assert BipartiteGraph.from_bytes(_v2_cache(**fields)).edge_count > 2 * block
+        # a step that repeats the edge before it, at the named edge
+        at = {"first-edge": 1, "last-edge": fields["indices"].size - 1, "before-block-edge": block - 1,
+              "at-block-edge": block, "after-block-edge": block + 1}.get(case)
+        if at is not None:
+            assert at % 200 != 0
+            fields["indices"][at] = fields["indices"][at - 1]
+        elif case == "nan-last-weight":
+            fields["weights"][-1] = np.nan
+        else:
+            fields["v_labels"].append("v200")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            BipartiteGraph.from_bytes(_v2_cache(**fields))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+    def test_blocks_of_a_few_edges_change_nothing(self, seed, block):
+        # With blocks of a few edges, rows and row starts fall across block
+        # edges everywhere. Loading and building still give every array bit
+        # for bit, the weight sums those of np.bincount over the edges, and
+        # a repeated edge anywhere in a row is still found.
+        rng = np.random.default_rng(seed)
+        shape = random_bigraph(rng, int(rng.integers(1, 15)), int(rng.integers(1, 15)), 3.0)
+        eu = np.repeat(np.arange(shape.u_count), shape.deg_u)
+        w = 10.0 ** rng.uniform(-8.0, 8.0, shape.edge_count)
+        g = BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_indices, w)
+        buf = g.to_bytes()
+        with mock.patch.object(bigraph, "_BLOCK", block):
+            graphs = [
+                BipartiteGraph.from_bytes(buf),
+                BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_indices, w),
+            ]
+        expect = dict(
+            ws_u=np.bincount(eu, weights=g.u_weights, minlength=g.u_count),
+            ws_v=np.bincount(g.u_indices, weights=g.u_weights, minlength=g.v_count),
+            deg_v=np.bincount(g.u_indices, minlength=g.v_count),
+        )
+        for h in graphs:
+            for name in ("u_indptr", "u_indices", "u_weights", "v_indptr", "v_indices",
+                         "v_weights", "ws_u", "ws_v", "deg_u", "deg_v"):
+                a, b = getattr(h, name), getattr(g, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                if name in expect:
+                    assert a.tobytes() == expect[name].tobytes(), name
+
+        inner = np.setdiff1d(np.arange(1, g.edge_count), g.u_indptr)
+        if inner.size:
+            at = int(rng.choice(inner))
+            indices = g.u_indices.copy()
+            indices[at] = indices[at - 1]
+            bad = _v2_cache(g.u_labels, g.v_labels, g.u_indptr, indices, g.u_weights)
+            with mock.patch.object(bigraph, "_BLOCK", block), pytest.raises(DataError, match=self.UNSORTED):
+                BipartiteGraph.from_bytes(bad)
+
+
+class TestBuildMemory:
+    """Past the arrays a graph keeps, checking and deriving it allocates no
+    more for four times the edges: its temporaries are block-sized."""
+
+    @staticmethod
+    def transient(run) -> int:
+        """Bytes allocated at run()'s peak beyond those still held when it
+        returns."""
+        tracemalloc.start()
+        try:
+            kept = run()  # noqa: F841 -- held until the reading below
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - current
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        # the same 400 x 400 nodes; 20000 and 80000 edges, both past a block
+        return [synth_bipartite(400, 400, edges, (1.0, 10.0), seed=3) for edges in (20000, 80000)]
+
+    def assert_flat(self, extra, graphs):
+        small, big = graphs
+        assert min(g.edge_count for g in graphs) > bigraph._BLOCK
+        # under one byte for each added edge; an edge-length temporary
+        # costs at least one
+        assert extra[1] - extra[0] < big.edge_count - small.edge_count, extra
+
+    def test_load(self, graphs):
+        bufs = [g.to_bytes() for g in graphs]
+        self.assert_flat([self.transient(lambda: BipartiteGraph.from_bytes(b)) for b in bufs], graphs)
+
+    def test_constructor_finish(self, graphs, monkeypatch):
+        # The constructor's own sort needs edge-length arrays; the finish
+        # it shares with the load must not.
+        finish = BipartiteGraph._finish
+        extra = []
+
+        def traced(g, *args):
+            extra.append(self.transient(lambda: finish(g, *args)))
+
+        monkeypatch.setattr(BipartiteGraph, "_finish", traced)
+        for g in graphs:
+            BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u),
+                           g.u_indices, g.u_weights)
+        self.assert_flat(extra, graphs)
 
 
 def _v2_cache(

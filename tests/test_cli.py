@@ -678,7 +678,7 @@ class TestConfigAndErrors:
         assert code == EXIT_OK, err
         assert parse_tsv(out)[0]["n"] == 3
 
-    @pytest.mark.parametrize("method", ["ssbipush", "pisp"])
+    @pytest.mark.parametrize("method", ["pisp"])
     def test_subnormal_epsilon_answers(self, index_dir, method):
         # 1 / 1e-310 overflows a float; the iteration depth must not
         _, _, idx, _ = index_dir
@@ -688,6 +688,17 @@ class TestConfigAndErrors:
         assert "Traceback" not in err
         scores = [float(line.split("\t")[1]) for line in out.splitlines()]
         assert len(scores) == 10 and all(math.isfinite(s) for s in scores)
+
+    @pytest.mark.parametrize("eps", ["1e-20", "1e-200", "1e-310"])
+    def test_epsilon_below_rounding_is_data_error(self, index_dir, eps):
+        # ssbipush certifies its bound; where rounding keeps it above
+        # epsilon, the query is refused, not answered uncertified
+        _, _, idx, _ = index_dir
+        code, out, err = run_cli("topk", "--index", str(idx), "--query", "u0", "--epsilon", eps)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert "Traceback" not in err
+        assert f"above epsilon {float(eps):g}: float64 rounding cannot certify" in err
 
     @pytest.mark.parametrize("method", ["ssbipush", "pisp"])
     def test_stale_index_is_data_error(self, index_dir, tmp_path, method):
