@@ -9,15 +9,14 @@ together with its reflection, and the query scales them by 1 + ws_u / ws_i.
 The result underestimates the true score by at most epsilon entrywise and
 never overestimates.
 
-The index keeps only what a query cannot derive cheaply: the column-sum
-bound lam and the graph fingerprint live in IndexMeta, computed once per
-graph by build_index_meta and persisted as JSON next to the graph cache.
+The index keeps only what a query cannot derive from the graph: alpha and
+the graph fingerprint live in IndexMeta, built by build_index_meta and
+persisted as JSON next to the graph cache.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,28 +24,24 @@ from pathlib import Path
 import numpy as np
 
 from .bigraph import BipartiteGraph, DataError
-from .push_engine import pi_push, power_iteration, required_iterations
+from .push_engine import pi_push
 
 META_VERSION = 1
 
 
 @dataclass
 class IndexMeta:
-    """Query-independent per-graph parameters.
-
-    lam upper-bounds every column sum of the hidden walk-score matrix.
-    Values no query can run on raise DataError.
+    """Query-independent per-graph parameters: the restart probability and
+    the fingerprint of the graph they were built for. An alpha no query can
+    run on raises DataError.
     """
 
     alpha: float
-    lam: float
     graph_fingerprint: str
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"index alpha must lie strictly between 0 and 1, got {self.alpha}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise DataError(f"index lambda must be positive and finite, got {self.lam}")
 
     def check_graph(self, g: BipartiteGraph) -> None:
         """Raise DataError unless this metadata was built for graph g."""
@@ -72,40 +67,14 @@ class QueryResult:
     u_labels: list[str] | None = None
 
 
-def default_tau(g: BipartiteGraph, alpha: float) -> int:
-    """Probe depth keeping the additive tail |U| (1-alpha)^(tau+1) <= 0.05."""
-    return required_iterations(alpha, 0.05, float(g.u_count))
-
-
-def estimate_lambda(g: BipartiteGraph, alpha: float, tau: int) -> float:
-    """Upper bound on the column sums of the hidden walk-score matrix.
-
-    Probes tau rounds of the walk series from the all-ones vector, whose
-    entries are exactly the truncated column sums, then adds the worst-case
-    tail |U| (1-alpha)^(tau+1); capped by the weight-sum ratio bound
-    max ws / min ws, which holds at any depth.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    probe = power_iteration(g, np.ones(g.u_count), alpha, tau)
-    from_probe = float(probe.max()) + g.u_count * (1.0 - alpha) ** (tau + 1)
-    from_ratio = float(g.ws_u.max() / g.ws_u.min())
-    return min(from_probe, from_ratio)
-
-
 def build_index_meta(g: BipartiteGraph, alpha: float = 0.15) -> IndexMeta:
-    return IndexMeta(
-        alpha=alpha,
-        lam=estimate_lambda(g, alpha, default_tau(g, alpha)),
-        graph_fingerprint=g.fingerprint,
-    )
+    return IndexMeta(alpha=alpha, graph_fingerprint=g.fingerprint)
 
 
 def save_meta(meta: IndexMeta, path) -> None:
     payload = {
         "format_version": META_VERSION,
         "alpha": meta.alpha,
-        "lambda": meta.lam,
         "graph_fingerprint": meta.graph_fingerprint,
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -121,7 +90,6 @@ def load_meta(path) -> IndexMeta:
     try:
         fields = dict(
             alpha=float(payload["alpha"]),
-            lam=float(payload["lambda"]),
             graph_fingerprint=str(payload["graph_fingerprint"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -153,7 +121,7 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     q = resolve_query(g, query_u)
 
     t0 = time.perf_counter()
-    fwd = pi_push(g, q, meta.alpha, meta.lam, epsilon, round_hook)
+    fwd = pi_push(g, q, meta.alpha, epsilon, round_hook)
     scores = fwd.scores * (1.0 + g.ws_u[q] / g.ws_u)
     t1 = time.perf_counter()
     if not np.isfinite(scores).all():

@@ -328,7 +328,6 @@ def cmd_preprocess(cfg, out, err) -> int:
         ("v_count", g.v_count),
         ("edge_count", g.edge_count),
         ("alpha", meta.alpha),
-        ("lambda", meta.lam),
         ("build_seconds", round(build_seconds, 6)),
         ("fingerprint", meta.graph_fingerprint),
     ):

@@ -26,25 +26,27 @@ every positive residue, so it hands its residues to the mat-vec as they
 are.
 
 Every kernel runs the same loop of thresholded rounds, `_rounds`, which stops
-when no U residue exceeds its threshold or when the kernel's switch rule
-says so. It asks both before every round, the first included, so no round
-pushes nothing and a kernel met at entry runs none. Both budgeted kernels
-share the paper's budget: thresholded pushing has stopped paying for itself
-once n_p (degree sum of every node pushed so far) exceeds
-2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the ws-weighted residue
-mass sum_i ws(u_i) r(u_i) over its value at entry. The ratio starts at 1
-and never grows, so the budget is never negative, hub targets included.
-ss_push then switches to sequential rounds that push every positive
-residue.
+when no U residue exceeds the kernel's stop threshold, where it has one, or
+when the kernel's switch rule says so. It asks both before every round, the
+first included, so no round pushes nothing and a kernel met at entry runs
+none. Both budgeted kernels share the paper's budget: selective pushing
+has stopped paying for itself once n_p (degree sum of every node pushed so
+far) exceeds 2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the
+ws-weighted residue mass sum_i ws(u_i) r(u_i) over its value at entry. The
+ratio starts at 1 and never grows, so the budget is never negative, hub
+targets included. ss_push then switches to sequential rounds that push
+every positive residue.
 
 pi_push answers a two-way query with one ledger. The two-hop chain is
 reversible with respect to ws (ws_i P_ij = ws_j P_ji), so ws(u_i) pi_i(u) =
 ws(u) pi_u(i): backward residues and estimates convert to forward ones
 through the ratio ws(u_i)/ws(u), and the backward scores are the forward
 ones scaled by ws(u)/ws(u_i), their error included. pi_push pushes the
-unit ledger at u under per-node thresholds that hold each half of the error
-to eps/2 on a threshold exit. On a switch the transformed residues x still
-owe the forward scores y* = alpha sum_l (1-alpha)^l x P^l, the solution of
+unit ledger at u, each round the U residues above a fixed share of the
+largest, in the style of SpeedPPR's epochs (Wu, Gan, Wei, Zhang, SIGMOD
+2021). No threshold ends its rounds; its switch rule does, and then the
+transformed residues x still owe the forward scores
+y* = alpha sum_l (1-alpha)^l x P^l, the solution of
 y (I - (1-alpha) P) = alpha x, and a finish supplies them.
 
 Reversibility also brackets every walk: for any z, signed or not,
@@ -111,8 +113,17 @@ from .csr import row_slots as _row_slots
 
 # Gather/scatter when the active rows hold under this fraction of all edges;
 # full sparse mat-vec otherwise. Any positive fraction is correct; this one
-# keeps per-round cost tracking n_p instead of |E|.
-_SCATTER_LIMIT = 0.25
+# keeps per-round cost tracking n_p instead of |E|. A scatter holds about
+# 32 bytes per pushed edge, and over a tenth of the edges it breaks even
+# with the whole mat-vec on a skewed 400k-edge graph and costs 1.4 against
+# 0.8 ms on a uniform one (2-vCPU VM).
+_SCATTER_LIMIT = 0.1
+
+# pi_push pushes, each round, the U residues above this share of the
+# largest one, as SpeedPPR's epochs do. Any share in [0, 1) is correct,
+# because the finish certifies whatever residues are left; the share only
+# sets the work.
+_PUSH_SHARE = 0.1
 
 
 @dataclass
@@ -256,48 +267,41 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
     return PushOutcome(led, trace, "threshold-met" if met else "budget-switch")
 
 
-def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_hook=None) -> PushOutcome:
+def pi_push(g, source_u: int, alpha: float, epsilon: float, round_hook=None) -> PushOutcome:
     """Forward scores for source_u, certified together with their reflection.
 
-    Pushes the unit ledger at source_u under per-node residue thresholds
-    min(eps/2, ws(u)/ws(u_i) * (eps/2) / lam), then, unless the thresholds
-    were met, finishes the transformed residues x = ws(u_i)/ws(u) * r(u_i)
-    (see the module docstring for the switch rule, the finish and its
-    certificate). The trace's residue_bound certifies the forward scores
-    (0 <= true - score <= residue_bound) and its backward_bound the backward
-    ones read off them; the two sum to at most epsilon. On threshold exit
-    they are lam * max x and max r, each at most eps/2. After a switch
-    (switched_by "cost" or "cap") they are the halves of what the finish
-    left uncertain: power_tail_bound is their sum and tail_floor the lo of
-    the bracket whose lower end the scores were credited, that of x / ws
-    when the bracket at the switch certifies the tail with no step, and
-    min rho / ws of the final residual rho, which may be negative,
-    otherwise. power_iterations counts the conjugate-gradient steps run and
-    depth_cap the step by which exact arithmetic certifies (0 when none
-    ran). The finish returns whatever bound it certified, which rounding
-    can leave above an epsilon near the float64 floor; bhpp_query refuses
-    such a query.
+    Pushes the unit ledger at source_u, each round the U residues above
+    _PUSH_SHARE of the largest, until the switch rule fires, then finishes
+    the transformed residues x = ws(u_i)/ws(u) * r(u_i) (see the module
+    docstring for the switch rule, the finish and its certificate). The
+    trace's residue_bound certifies the forward scores (0 <= true - score
+    <= residue_bound) and its backward_bound the backward ones read off
+    them: they are the halves of what the finish left uncertain, and
+    power_tail_bound, their sum, is at most epsilon. switched_by is "cost"
+    or "cap", and tail_floor is the lo of the bracket whose lower end the
+    scores were credited: that of x / ws when the bracket at the switch
+    certifies the tail with no step, and min rho / ws of the final residual
+    rho, which may be negative, otherwise. power_iterations counts the
+    conjugate-gradient steps run and depth_cap the step by which exact
+    arithmetic certifies (0 when none ran). The finish returns whatever
+    bound it certified, which rounding can leave above an epsilon near the
+    float64 floor; bhpp_query refuses such a query.
 
     The paper's budget is a complexity backstop that is not expected to
-    fire: in about 25,000 runs on random, skewed, wide-weight, pendant,
-    hub and relay graphs, the cost rule, priced at the finish's rate,
-    always switched first. Only test_paper_budget_caps_rounds_that_pay,
-    which prices rounds at 1-alpha, reaches switched_by "cap".
-
-    lam must upper-bound every column sum of the hidden walk-score matrix.
+    fire: in 30,000 runs on random, skewed, 30-decade-weight, pendant and
+    hub graphs at epsilons 1e-2 to 1e-8, the cost rule, priced at the
+    finish's rate, always switched first. Only
+    test_paper_budget_caps_rounds_that_pay, which prices rounds at
+    1-alpha, reaches switched_by "cap".
     """
     _check_alpha(alpha)
-    half = epsilon / 2.0
-    if not 0.0 < half < math.inf:
+    if not 0.0 < epsilon / 2.0 < math.inf:
         raise ValueError("epsilon must be positive and finite, and so must its half")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     led = ResidueLedger.initial(g, source_u)
 
     ws = g.ws_u
     ws_src = float(ws[source_u])
     w_ratio = ws / ws_src
-    theta = np.minimum(half, (ws_src / ws) * (half / lam))
     ws_max = float(ws.max())
     mass = 1.0  # sum x
     rate = _cg_rate(alpha)
@@ -327,8 +331,8 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
     def spent() -> bool:
         # A conjugate-gradient step costs 2|E| of n_p: switch once the last
         # round's n_p outweighs the steps it took off the certified depth,
-        # or no round can take any off. The paper's budget caps the pushing
-        # either way.
+        # or no round can take any off (all residues zero included). The
+        # paper's budget caps the pushing either way.
         nonlocal mass, depth, round_start, switched_by
         mass = float((w_ratio * led.residue_u).sum())
         prev_depth = depth
@@ -340,40 +344,36 @@ def pi_push(g, source_u: int, alpha: float, lam: float, epsilon: float, round_ho
         round_start = led.n_p
         return switched_by is not None
 
-    sel_rounds, met = _rounds(g, led, alpha, theta, theta, "forward-selective", round_hook, spent)
+    # No residue threshold ends the rounds: only the switch rule does.
+    rounds, _ = _rounds(g, led, alpha, lambda r: _PUSH_SHARE * float(r.max()), -math.inf,
+                        "forward-selective", round_hook, spent)
     x = w_ratio * led.residue_u
     scores = w_ratio * led.estimate
-    r_max = float(led.residue_u.max())
+    hi, lo = bracket()
+    fwd_tail, back_tail = ((1.0 - alpha) * h for h in halves(hi - lo))
+    steps = cap = 0
+    if fwd_tail + back_tail <= epsilon:
+        # The tail past alpha x lies above (1-alpha) lo ws entrywise, and
+        # the bracket certifies the rest: credit that floor.
+        scores = scores + alpha * x + ((1.0 - alpha) * lo) * ws
+    else:
+        y, steps, cap, lo, fwd_tail, back_tail = _cg_finish(g, x, alpha, epsilon, ws_src)
+        # The true scores are nonnegative, so clipping keeps them
+        # one-sided.
+        scores = np.maximum(scores + y, 0.0)
     trace = {
-        "selective_rounds": sel_rounds,
+        "selective_rounds": rounds,
         "sequential_rounds": 0,
-        "power_iterations": 0,
-        "depth_cap": 0,
-        "power_tail_bound": 0.0,
-        "tail_floor": 0.0,
-        # lam bounds the column sums of the walk-score matrix; its rows sum
-        # to 1.
-        "residue_bound": lam * float(x.max()),
-        "backward_bound": r_max,
+        "power_iterations": steps,
+        "depth_cap": cap,
+        "power_tail_bound": fwd_tail + back_tail,
+        "tail_floor": lo,
+        "residue_bound": fwd_tail,
+        "backward_bound": back_tail,
         "n_p": led.n_p,
+        "switched_by": switched_by,
     }
-    if not met:
-        hi, lo = bracket()
-        fwd_tail, back_tail = ((1.0 - alpha) * h for h in halves(hi - lo))
-        steps = cap = 0
-        if fwd_tail + back_tail <= epsilon:
-            # The tail past alpha x lies above (1-alpha) lo ws entrywise, and
-            # the bracket certifies the rest: credit that floor.
-            scores = scores + alpha * x + ((1.0 - alpha) * lo) * ws
-        else:
-            y, steps, cap, lo, fwd_tail, back_tail = _cg_finish(g, x, alpha, epsilon, ws_src)
-            # The true scores are nonnegative, so clipping keeps them
-            # one-sided.
-            scores = np.maximum(scores + y, 0.0)
-        trace.update(power_iterations=steps, depth_cap=cap, power_tail_bound=fwd_tail + back_tail,
-                     tail_floor=lo, residue_bound=fwd_tail, backward_bound=back_tail,
-                     switched_by=switched_by)
-    return PushOutcome(led, trace, "threshold-met" if met else "budget-switch", scores=scores)
+    return PushOutcome(led, trace, "budget-switch", scores=scores)
 
 
 def _cg_finish(g, x: np.ndarray, alpha: float, epsilon: float, ws_src: float):
@@ -474,16 +474,18 @@ def _budget_spent(g, alpha: float, n_p: int, ratio: float) -> bool:
 
 def _rounds(g, led: ResidueLedger, alpha: float, push_above, stop_at, phase: str,
             round_hook=None, spent=None) -> tuple[int, bool]:
-    """Run rounds that push U residues above `push_above` until no residue
-    exceeds `stop_at` (returns rounds, True) or the switch rule `spent()`
-    fires (returns rounds, False). Both are asked before every round, the
-    first included, so a run met at entry runs no round, and as push_above
-    never exceeds stop_at, every round that runs pushes."""
+    """Run rounds that push U residues above `push_above`, a threshold or a
+    function of the U residues that returns one, until no residue exceeds
+    `stop_at` (returns rounds, True) or the switch rule `spent()` fires
+    (returns rounds, False). Both are asked before every round, the first
+    included, so a run met at entry runs no round. Every round that runs
+    pushes, as push_above never exceeds stop_at or, where it is a function,
+    lies below the largest residue, which the switch rule keeps positive."""
     rounds = 0
     while (led.residue_u > stop_at).any():
         if spent is not None and spent():
             return rounds, False
-        _round(g, led, push_above, alpha)
+        _round(g, led, push_above(led.residue_u) if callable(push_above) else push_above, alpha)
         rounds += 1
         if round_hook is not None:
             round_hook(phase, rounds, led)

@@ -1,4 +1,4 @@
-"""Two-direction query assembly, index metadata, and parameter pickers."""
+"""Two-direction query assembly and index metadata."""
 
 import hashlib
 import importlib
@@ -13,17 +13,15 @@ from hypothesis import assume, given, settings, strategies as st
 from bipush import (
     BipartiteGraph,
     DataError,
+    IndexMeta,
     bhpp_query,
     build_index_meta,
-    default_tau,
-    estimate_lambda,
     exact_bhpp,
     exact_hpp,
     exact_hpp_solve,
     load_meta,
     pi_push,
     pisp_query,
-    required_iterations,
     save_meta,
     synth_bipartite,
     topk,
@@ -31,28 +29,6 @@ from bipush import (
 from conftest import random_bigraph
 
 ALPHA = 0.15
-
-
-class TestParameterPickers:
-    def test_default_tau_controls_probe_tail(self):
-        rng = np.random.default_rng(1)
-        g = random_bigraph(rng, 120, 80, 4.0)
-        tau = default_tau(g, ALPHA)
-        assert tau == required_iterations(ALPHA, 0.05, float(g.u_count))
-        assert g.u_count * (1 - ALPHA) ** (tau + 1) <= 0.05
-
-    def test_lambda_bounds_oracle_column_sums(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            g = random_bigraph(rng, int(rng.integers(10, 80)), int(rng.integers(10, 80)), 3.0)
-            lam = estimate_lambda(g, ALPHA, default_tau(g, ALPHA))
-            ref = exact_hpp(g, ALPHA, tol=1e-14)
-            assert lam >= ref.pi.sum(axis=0).max() - 1e-10
-            assert lam <= g.ws_u.max() / g.ws_u.min() + 1e-12
-
-    def test_lambda_rejects_negative_tau(self, g2):
-        with pytest.raises(ValueError):
-            estimate_lambda(g2, ALPHA, -1)
 
 
 class TestIndexMeta:
@@ -63,11 +39,10 @@ class TestIndexMeta:
         save_meta(meta, path)
         loaded = load_meta(path)
         assert loaded.alpha == meta.alpha
-        assert loaded.lam == meta.lam
         assert loaded.graph_fingerprint == meta.graph_fingerprint
         # nothing a query can derive from the graph is stored
         assert set(json.loads(path.read_text())) == {
-            "format_version", "alpha", "lambda", "graph_fingerprint",
+            "format_version", "alpha", "graph_fingerprint",
         }
 
     def test_load_rejects_malformed(self, tmp_path):
@@ -82,10 +57,6 @@ class TestIndexMeta:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("lambda", -1.0),
-            ("lambda", 0.0),
-            ("lambda", float("nan")),
-            ("lambda", float("inf")),
             ("alpha", 1.5),
             ("alpha", 0.0),
             ("alpha", float("nan")),
@@ -103,6 +74,32 @@ class TestIndexMeta:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             load_meta(path)
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_load_ignores_a_legacy_lambda(self, tmp_path, lam):
+        # older indexes stored a column-sum bound that queries no longer
+        # read, so no value of it, not even one they once rejected, matters
+        g = synth_bipartite(20, 20, 100, seed=7)
+        meta = build_index_meta(g)
+        path = tmp_path / "meta.json"
+        save_meta(meta, path)
+        payload = json.loads(path.read_text())
+        payload["lambda"] = lam
+        path.write_text(json.dumps(payload))
+        assert load_meta(path) == meta
+
+    def test_build_runs_no_power_iteration(self, monkeypatch):
+        # the metadata is the restart probability and the fingerprint; no
+        # probe of the walk is run to build it
+        import bipush.push_engine as pe
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("preprocess ran a power iteration")
+
+        monkeypatch.setattr(pe, "power_iteration", refuse)
+        monkeypatch.setattr(pe, "_two_hop", refuse)
+        g = synth_bipartite(30, 25, 150, seed=7)
+        assert build_index_meta(g, 0.3) == IndexMeta(alpha=0.3, graph_fingerprint=g.fingerprint)
 
     def test_fingerprint_mismatch_rejected(self):
         g = synth_bipartite(20, 20, 100, seed=8)
@@ -220,7 +217,7 @@ class TestBhppQuery:
         meta = build_index_meta(g)
         eps = 1e-4
         res = bhpp_query(g, meta, 5, eps)
-        fwd = pi_push(g, 5, meta.alpha, meta.lam, eps)
+        fwd = pi_push(g, 5, meta.alpha, eps)
         np.testing.assert_array_equal(res.scores, fwd.scores * (1.0 + g.ws_u[5] / g.ws_u))
         assert res.phase_trace["backward"]["residue_bound"] == fwd.phase_trace["backward_bound"]
         assert res.phase_trace["backward"]["n_p"] == 0
@@ -304,14 +301,14 @@ class TestBhppQuery:
 # bhpp_query answers in TestBitIdentity, and over the scores and phase_trace
 # of pisp_query on the same queries. A change that moves any of them re-pins
 # its value and says why in CHANGES.md.
-PINNED_DIGEST = "b2ec9a3eb3b8c8f0b64676f622e8abeb54deb6c9656064a6bd08c429366bcd6b"
-PINNED_PISP_DIGEST = "ef2fa903548fe9fab3e116b94dceae3f74651bfb4214d4bbbd47f345659cf2af"
+PINNED_DIGEST = "c48891a312a23ff49a2693f6ba40b088e73572691faa2d18a3bd8d9dfdf71f36"
+PINNED_PISP_DIGEST = "ca8f6735c06449a35b869d59ce76c24c5c42fc695578b7824c140d2d16292b95"
 
 
 # sha256 over the scores and phase_trace of bhpp_query on a graph with two
 # components, the trace's tail_floor left out. A change that moves it
 # re-pins its value and says why in CHANGES.md.
-PINNED_TWO_COMPONENT_DIGEST = "4276874e9abccd60c898340315256ad3e315282b290dcaa35cb5a23db51fe86d"
+PINNED_TWO_COMPONENT_DIGEST = "6c9b6ad7e8236ed3bdaf3c97c21a925c9837ef8708cb0143f3cb965b14114279"
 
 
 def _disjoint_union(graphs):
@@ -346,8 +343,7 @@ def _pinned_queries():
 
 class TestBitIdentity:
     def test_scores_traces_and_split_are_pinned(self):
-        # the query exits on its thresholds once and by the cost rule
-        # everywhere else
+        # every query exits by the cost rule
         h = hashlib.sha256()
         for g, meta, q, eps in _pinned_queries():
             r = bhpp_query(g, meta, q, eps)

@@ -72,17 +72,16 @@ class TestSynthPreprocess:
         facts = dict(line.split("=", 1) for line in out.strip().splitlines())
         assert facts["u_count"] == "40"
         assert facts["edge_count"] == "240"
-        assert float(facts["lambda"]) > 0
+        assert facts["alpha"] == "0.15"
         assert (idx / "graph.bin").exists()
         assert (idx / "meta.json").exists()
 
     def test_preprocess_stores_only_what_a_query_cannot_derive(self, index_dir):
         _, _, idx, out = index_dir
         meta = json.loads((idx / "meta.json").read_text(encoding="utf-8"))
-        assert set(meta) == {"format_version", "alpha", "lambda", "graph_fingerprint"}
+        assert set(meta) == {"format_version", "alpha", "graph_fingerprint"}
         keys = [line.split("=", 1)[0] for line in out.strip().splitlines()]
-        assert keys == ["u_count", "v_count", "edge_count", "alpha", "lambda",
-                        "build_seconds", "fingerprint"]
+        assert keys == ["u_count", "v_count", "edge_count", "alpha", "build_seconds", "fingerprint"]
 
     def test_kcore_shrinks_graph(self, index_dir, tmp_path):
         base, graph, _, _ = index_dir
@@ -584,29 +583,30 @@ class TestConfigAndErrors:
         assert code == EXIT_OK
 
     def test_invalid_meta_is_data_error(self, index_dir, tmp_path):
-        # a NaN lambda would scale every forward threshold to NaN
+        # a NaN alpha would turn every score NaN
         _, _, idx, _ = index_dir
         bad = tmp_path / "bad"
         bad.mkdir()
         (bad / "graph.bin").write_bytes((idx / "graph.bin").read_bytes())
         payload = json.loads((idx / "meta.json").read_text())
-        payload["lambda"] = float("nan")
+        payload["alpha"] = float("nan")
         (bad / "meta.json").write_text(json.dumps(payload))
         code, out, err = run_cli("topk", "--index", str(bad), "--query", "u0")
         assert code == EXIT_DATA
         assert out == ""
-        assert "lambda" in err
+        assert "alpha" in err
 
+    @pytest.mark.parametrize("lam", [1.7, float("nan")])
     @pytest.mark.parametrize("mu", [0.05, float("nan")])
-    def test_legacy_meta_with_mu_and_tau_answers_the_same(self, index_dir, tmp_path, mu):
-        # older indexes also stored the density proxy and the probe depth;
-        # queries derive the first and never need the second
+    def test_legacy_meta_with_mu_and_tau_answers_the_same(self, index_dir, tmp_path, mu, lam):
+        # older indexes also stored the density proxy, the probe depth and
+        # the column-sum bound; queries need none of them
         _, _, idx, _ = index_dir
         legacy = tmp_path / "legacy"
         legacy.mkdir()
         (legacy / "graph.bin").write_bytes((idx / "graph.bin").read_bytes())
         payload = json.loads((idx / "meta.json").read_text())
-        payload.update(mu=mu, tau=79)
+        payload.update(mu=mu, tau=79, **{"lambda": lam})
         (legacy / "meta.json").write_text(json.dumps(payload))
         args = ("--query", "u0", "--k", "40", "--epsilon", "1e-5")
         new = run_cli("topk", "--index", str(idx), *args)
