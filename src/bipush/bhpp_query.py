@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,7 +65,7 @@ class QueryResult:
     epsilon_f: float
     timing: dict
     phase_trace: dict
-    u_labels: list[str] | None = None
+    u_labels: Sequence[str] | None = None
 
 
 def build_index_meta(g: BipartiteGraph, alpha: float = 0.15) -> IndexMeta:

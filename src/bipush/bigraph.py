@@ -16,16 +16,24 @@ divide by the receivers' weight sums when they push. `v_adj @ (x / ws_u)`
 carries a distribution x on U one hop to V and `u_adj @ (y / ws_v)` carries
 y on V back to U.
 
+Node labels stay UTF-8 bytes in one blob per graph, U labels then V labels,
+as the cache stores them. Each side reads it through a `LabelTable`, which
+decodes a label only when it is read and finds one by binary search.
+
 Graphs are immutable after construction: every array is built eagerly and
 marked read-only. Only the fingerprint is computed on first use.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import io
+import itertools
 import math
+import operator
 import struct
+from collections.abc import Sequence
 from functools import cached_property
 from pathlib import Path
 
@@ -39,10 +47,92 @@ _HEADER = struct.Struct("<4sIQQQ")
 # Edges a graph's checks and weight sums visit at a time, so that their
 # temporaries stay this size however many edges the graph has.
 _BLOCK = 1 << 14
+# Bytes of label text the label checks copy or decode at a time.
+_CHUNK = 1 << 20
 
 
 class DataError(ValueError):
     """Malformed input data: bad edge lists, bad cache files, bad labels."""
+
+
+class LabelTable(Sequence):
+    """One side's node labels in index order: a read-only sequence of str.
+
+    Label i is the UTF-8 text `blob[offsets[i]:offsets[i+1]]`, decoded each
+    time it is read. On a loaded graph the blob and offsets are views into
+    the cache buffer. `order` lists the labels sorted by (byte length,
+    bytes), so `index` finds a label by binary search in O(log n) and
+    allocates nothing of size n. A table equals another table or a list
+    with the same labels.
+    """
+
+    __slots__ = ("blob", "offsets", "order")
+
+    def __init__(self, blob, offsets, order):
+        self.blob = blob
+        self.offsets = offsets
+        self.order = order
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("label index out of range")
+        a, b = self.offsets[i:i + 2].tolist()
+        return str(self.blob[a:b], "utf-8")
+
+    def __iter__(self):
+        for a in range(0, len(self), _BLOCK):
+            bounds = self.offsets[a:a + _BLOCK + 1].tolist()
+            for lo, hi in itertools.pairwise(bounds):
+                yield str(self.blob[lo:hi], "utf-8")
+
+    def __contains__(self, label) -> bool:
+        return self._find(label) >= 0
+
+    def __eq__(self, other):
+        if not isinstance(other, (LabelTable, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def index(self, label) -> int:
+        """Index of `label`; ValueError if this side has no such label."""
+        i = self._find(label)
+        if i < 0:
+            raise ValueError(f"{label!r} is not a label on this side")
+        return i
+
+    def _find(self, label) -> int:
+        """Index of `label`, or -1: a binary search of `order` that compares
+        byte lengths first and bytes only between labels of one length."""
+        if not isinstance(label, str):
+            return -1
+        try:
+            key = label.encode("utf-8")
+        except UnicodeEncodeError:
+            return -1
+        order, offsets, blob = self.order, self.offsets, self.blob
+        lo, hi = 0, order.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            i = order.item(mid)
+            a, b = offsets[i:i + 2].tolist()
+            if b - a == len(key):
+                probe = bytes(blob[a:b])
+                if probe == key:
+                    return i
+                below = probe < key
+            else:
+                below = b - a < len(key)
+            if below:
+                lo = mid + 1
+            else:
+                hi = mid
+        return -1
 
 
 class BipartiteGraph:
@@ -50,7 +140,10 @@ class BipartiteGraph:
 
     Attributes:
         u_count, v_count, edge_count: basic sizes.
-        u_labels, v_labels: node labels in index order.
+        u_labels, v_labels: each side's node labels in index order, as a
+            `LabelTable`. Both tables read one UTF-8 blob, U labels then V
+            labels; on a graph from `from_bytes` it is a view into the cache
+            buffer. `u_id` and `v_id` find a label's index.
         u_indptr, u_indices, u_weights: U-side CSR (neighbors are V indices,
             each row sorted by neighbor index); on a graph from `from_bytes`
             they are views into the cache buffer.
@@ -64,8 +157,9 @@ class BipartiteGraph:
     """
 
     def __init__(self, u_labels, v_labels, edge_u, edge_v, edge_w):
-        u_labels = list(u_labels)
-        v_labels = list(v_labels)
+        u_blob, u_sizes = _encoded("U", u_labels)
+        v_blob, v_sizes = _encoded("V", v_labels)
+        u_count, v_count = u_sizes.size, v_sizes.size
         eu = np.asarray(edge_u, dtype=np.int64)
         ev = np.asarray(edge_v, dtype=np.int64)
         ew = np.asarray(edge_w, dtype=np.float64)
@@ -73,46 +167,45 @@ class BipartiteGraph:
             raise DataError("empty graph: at least one edge is required")
         if not (eu.size == ev.size == ew.size):
             raise DataError("edge arrays have mismatched lengths")
-        if eu.min() < 0 or eu.max() >= len(u_labels):
+        if eu.min() < 0 or eu.max() >= u_count:
             raise DataError("edge endpoint out of range on the U side")
-        if ev.min() < 0 or ev.max() >= len(v_labels):
+        if ev.min() < 0 or ev.max() >= v_count:
             raise DataError("edge endpoint out of range on the V side")
 
         # Canonical order: U-side rows sorted by (u, v). Duplicate pairs are a
         # constructor error; merging belongs to from_edges / load_edge_list.
         # The endpoints are in range here, so one int64 key per pair sorts
         # like (u, v), and a stable sort of that key beats a lexsort.
-        key = eu * len(v_labels) + ev
+        key = eu * v_count + ev
         order = np.argsort(key, kind="stable")
         eu, ev, ew = eu[order], ev[order], ew[order]
         if (np.diff(key[order]) == 0).any():
             raise DataError("duplicate edge passed to constructor")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(eu, minlength=len(u_labels)))))
-        self._finish(u_labels, v_labels, indptr, ev.astype(np.int32), ew)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(eu, minlength=u_count))))
+        offsets = np.zeros(u_count + v_count + 1, dtype=np.int64)
+        np.cumsum(np.concatenate((u_sizes, v_sizes)), out=offsets[1:])
+        self._finish(b"".join((u_blob, v_blob)), _frozen(offsets), u_count,
+                     indptr, ev.astype(np.int32), ew)
 
-    def _finish(self, u_labels, v_labels, indptr, indices, weights):
+    def _finish(self, blob, offsets, u_count, indptr, indices, weights):
         """Check labels and weights, then derive the rest of the graph.
 
-        The U-side CSR must already be canonical: indptr runs from 0 to the
-        edge count without decreasing, and each row's indices are in range
-        and strictly increasing. Both `__init__` and `from_bytes` end here.
-        Apart from the arrays the graph keeps, nothing here allocates more
-        than `_BLOCK` edges' worth at a time.
+        The labels are the valid UTF-8 `blob`, U labels then V labels, with
+        label i at `blob[offsets[i]:offsets[i+1]]`. The U-side CSR must
+        already be canonical: indptr runs from 0 to the edge count without
+        decreasing, and each row's indices are in range and strictly
+        increasing. Both `__init__` and `from_bytes` end here. Apart from
+        the arrays the graph keeps, nothing here allocates more than
+        `_BLOCK` edges' worth at a time.
         """
         if not (weights.min() > 0 and weights.max() < np.inf):  # both false for NaN
             raise DataError("edge weights must be positive and finite")
-        self.u_count = len(u_labels)
-        self.v_count = len(v_labels)
+        u_order, v_order = _label_orders(blob, offsets, u_count)
+        self.u_count = u_count
+        self.v_count = offsets.size - 1 - u_count
         self.edge_count = int(indices.size)
-        self.u_labels = u_labels
-        self.v_labels = v_labels
-        self.u_index = dict(zip(u_labels, range(self.u_count)))
-        self.v_index = dict(zip(v_labels, range(self.v_count)))
-        if len(self.u_index) != self.u_count or len(self.v_index) != self.v_count:
-            raise DataError("duplicate node label within one side")
-        if not self.u_index.keys().isdisjoint(self.v_index):
-            both = sorted(self.u_index.keys() & self.v_index.keys())
-            raise DataError(f"label appears on both sides: {both[0]!r}")
+        self.u_labels = LabelTable(blob, offsets[:u_count + 1], u_order)
+        self.v_labels = LabelTable(blob, offsets[u_count:], v_order)
 
         self.u_indptr = _frozen(indptr)
         self.u_indices = _frozen(indices)
@@ -120,7 +213,7 @@ class BipartiteGraph:
         self.deg_u = _frozen(np.diff(indptr))
         if (self.deg_u == 0).any():
             i = int(np.flatnonzero(self.deg_u == 0)[0])
-            raise DataError(f"isolated node on U side: {u_labels[i]!r}")
+            raise DataError(f"isolated node on U side: {self.u_labels[i]!r}")
 
         # The V side is the U side's CSC. The counting sort keeps each
         # column's rows in ascending order, so it comes out canonical too.
@@ -133,7 +226,7 @@ class BipartiteGraph:
         self.deg_v = _frozen(np.diff(self.v_indptr))
         if (self.deg_v == 0).any():
             i = int(np.flatnonzero(self.deg_v == 0)[0])
-            raise DataError(f"isolated node on V side: {v_labels[i]!r}")
+            raise DataError(f"isolated node on V side: {self.v_labels[i]!r}")
 
         # A V row lists its weights in ascending U order, the order a pass
         # over the U side's edges meets them, so each sum adds its terms as
@@ -182,14 +275,14 @@ class BipartiteGraph:
 
     def u_id(self, label) -> int:
         try:
-            return self.u_index[label]
-        except KeyError:
+            return self.u_labels.index(label)
+        except ValueError:
             raise DataError(f"unknown U-side label: {label!r}") from None
 
     def v_id(self, label) -> int:
         try:
-            return self.v_index[label]
-        except KeyError:
+            return self.v_labels.index(label)
+        except ValueError:
             raise DataError(f"unknown V-side label: {label!r}") from None
 
     # -- serialization ---------------------------------------------------------
@@ -206,27 +299,28 @@ class BipartiteGraph:
         multiple of its item size, so `from_bytes` can view it in place.
         Only the U side is stored; the V side is derived on load.
         """
-        labels = [lab.encode("utf-8") for lab in (*self.u_labels, *self.v_labels)]
-        offsets = np.zeros(len(labels) + 1, dtype="<i8")
-        np.cumsum([len(b) for b in labels], out=offsets[1:])
+        u, v = self.u_labels, self.v_labels  # both read one blob
         return b"".join([
             _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.u_count, self.v_count, self.edge_count),
             self.u_weights.astype("<f8", copy=False),
             self.u_indptr.astype("<i8", copy=False),
-            offsets,
+            u.offsets.astype("<i8", copy=False),
+            v.offsets[1:].astype("<i8", copy=False),
             self.u_indices.astype("<i4", copy=False),
-            *labels,
+            u.blob,
         ])
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BipartiteGraph":
         """Load a version-2 cache written by `to_bytes`.
 
-        The arrays are read-only views into `buf`, not copies. The cache is
-        trusted for nothing: every structural property the constructor would
-        establish (canonical row order, no duplicate pair, indices in range,
-        positive finite weights, distinct labels, no isolated node) is
-        checked in O(edges), and any violation raises DataError.
+        The arrays and the label blob are read-only views into `buf`, not
+        copies. The cache is trusted for nothing: every structural property
+        the constructor would establish (canonical row order, no duplicate
+        pair, indices in range, positive finite weights, UTF-8 labels,
+        distinct labels, no isolated node) is checked, the edges in
+        O(edges) and the labels by sorting them, and any violation raises
+        DataError.
         """
         if len(buf) < _HEADER.size or buf[:4] != CACHE_MAGIC:
             raise DataError("not a graph cache file (bad magic)")
@@ -265,18 +359,13 @@ class BipartiteGraph:
             if not ok.all():
                 raise DataError("graph cache rows are unsorted or repeat an edge")
 
-        blob = buf[blob_at:]
+        blob = memoryview(buf)[blob_at:]
         if offsets[0] != 0 or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any():
             raise DataError("corrupt label offsets in graph cache")
-        bounds = offsets.tolist()
-        try:
-            labels = [blob[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
-        except UnicodeDecodeError as exc:
-            raise DataError(f"graph cache label is not valid UTF-8: {exc.reason}") from None
-        del bounds  # a Python int per label; the V side's build need not hold it
+        _check_utf8(blob, offsets)
 
         g = cls.__new__(cls)
-        g._finish(labels[:u_count], labels[u_count:], indptr, indices, weights)
+        g._finish(blob, offsets, u_count, indptr, indices, weights)
         g._cache_bytes = buf  # the views keep it alive anyway; fingerprint hashes it
         return g
 
@@ -325,6 +414,113 @@ def _row_sums(indptr, data) -> np.ndarray:
         sums[first:last] = np.bincount(np.repeat(np.arange(last - first), counts),
                                        weights=terms, minlength=last - first)
     return sums
+
+
+def _encoded(side, labels):
+    """One side's labels as their UTF-8 bytes, back to back, and each
+    label's byte length."""
+    encoded = []
+    for label in labels:
+        if not isinstance(label, str):
+            raise DataError(f"{side}-side label is not a string: {label!r}")
+        try:
+            encoded.append(label.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise DataError(f"{side}-side label cannot be encoded as UTF-8: {label!r}") from None
+    return b"".join(encoded), np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+
+
+def _check_utf8(blob, offsets) -> None:
+    """Raise DataError unless every label in `blob` is valid UTF-8.
+
+    Labels of valid UTF-8 join into valid UTF-8, and the joined text splits
+    back into valid labels where no non-empty label starts on a
+    continuation byte. So the blob is decoded once, `_CHUNK` bytes at a
+    time, and only a failure decodes label by label, to name the reason
+    the first bad label gives.
+    """
+    starts = offsets[:-1][offsets[1:] > offsets[:-1]]
+    try:
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        for a in range(0, len(blob), _CHUNK):
+            decoder.decode(blob[a:a + _CHUNK])
+        decoder.decode(b"", True)
+        valid = not ((np.frombuffer(blob, np.uint8)[starts] & 0xC0) == 0x80).any()
+    except UnicodeDecodeError:
+        valid = False
+    if not valid:
+        for a, b in itertools.pairwise(offsets.tolist()):
+            try:
+                str(blob[a:b], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"graph cache label is not valid UTF-8: {exc.reason}") from None
+
+
+def _label_orders(blob, offsets, u_count):
+    """Each side's label indices sorted by (byte length, bytes).
+
+    Raises DataError if a side repeats a label, and otherwise if a label
+    is on both sides, naming the smallest shared label by code point.
+    Labels of one length are compared as the rows of a byte matrix, one
+    length at a time, so a label is never padded to a longer one's length
+    and the matrices hold no more than the blob's bytes, plus padding to 8
+    bytes for labels shorter than that. Keying on the length also keeps a
+    trailing NUL byte significant.
+    """
+    data = np.frombuffer(blob, np.uint8)
+    sizes = np.diff(offsets)
+    by_size = np.argsort(sizes)
+    parts, shared = [], []
+    for idx in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        if idx.size > 1:
+            perm, same = _sorted_rows(data, offsets[idx], int(sizes[idx[0]]))
+            idx = idx[perm]
+            on_v = idx >= u_count
+            pairs = np.flatnonzero(same)
+            # equal labels come in runs; a run of three or more, or two on one side, is a repeat
+            if (same[1:] & same[:-1]).any() or (on_v[pairs] == on_v[pairs + 1]).any():
+                raise DataError("duplicate node label within one side")
+            shared.append(idx[pairs])
+        parts.append(idx)
+    if any(part.size for part in shared):
+        first = min(str(blob[offsets[i]:offsets[i + 1]], "utf-8") for part in shared for i in part)
+        raise DataError(f"label appears on both sides: {first!r}")
+    order = np.concatenate(parts)
+    kind = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
+    on_u = order < u_count
+    return _frozen(order[on_u], kind), _frozen(order[~on_u] - u_count, kind)
+
+
+def _sorted_rows(data, starts, width):
+    """Sort the labels `data[s:s+width]` for s in starts, all `width` bytes
+    long. Returns the sorting permutation and whether each sorted label
+    equals the next.
+
+    Labels of up to 8 bytes are sorted as big-endian integers, longer ones
+    as raw bytes. Rows are gathered a column at a time, or a row at a time
+    when there are fewer rows than columns, and compared about `_CHUNK`
+    bytes at a time.
+    """
+    count = starts.size
+    rows = np.zeros((count, 8), np.uint8) if width <= 8 else np.empty((count, width), np.uint8)
+    if count > width:
+        for j in range(width):
+            rows[:, j] = data[starts + j]
+    else:
+        for r, s in enumerate(starts.tolist()):
+            rows[r, :width] = data[s:s + width]
+    keys = rows.view(">u8" if width <= 8 else np.dtype((np.void, width)))[:, 0]
+    perm = np.argsort(keys)
+    same = np.empty(count - 1, dtype=bool)
+    step = _CHUNK // keys.itemsize
+    if step > 1:
+        for a in range(0, count - 1, step):
+            run = keys[perm[a:a + step + 1]]
+            same[a:a + step] = run[1:] == run[:-1]
+    else:  # rows of `_CHUNK` bytes or more are compared where they lie
+        for a in range(count - 1):
+            same[a] = np.array_equal(rows[perm[a]], rows[perm[a + 1]])
+    return perm, same
 
 
 def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGraph:

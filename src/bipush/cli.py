@@ -289,12 +289,14 @@ def cmd_synth(cfg, out, err) -> int:
         degree_skew=cfg.skew,
         seed=cfg.seed,
     )
+    # each label is decoded once, not once per edge
+    u_labels, v_labels = list(g.u_labels), list(g.v_labels)
     with open(cfg.out, "w", encoding="utf-8") as fh:
         fh.write("# synthetic bipartite graph\n")
         for ui in range(g.u_count):
             for slot in range(g.u_indptr[ui], g.u_indptr[ui + 1]):
                 fh.write(
-                    f"{g.u_labels[ui]}\t{g.v_labels[g.u_indices[slot]]}\t"
+                    f"{u_labels[ui]}\t{v_labels[g.u_indices[slot]]}\t"
                     f"{float(g.u_weights[slot])!r}\n"
                 )
     for key, value in (

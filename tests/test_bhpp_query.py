@@ -329,7 +329,7 @@ def _two_component_graph():
     g = synth_bipartite(400, 300, 4000, (0.0, 10.0), seed=21)
     eu = np.append(np.repeat(np.arange(g.u_count), g.deg_u), g.u_count)
     ev = np.append(g.u_indices, g.v_count)
-    return BipartiteGraph(g.u_labels + ["iso"], g.v_labels + ["iso_v"], eu, ev, np.append(g.u_weights, 1.0))
+    return BipartiteGraph([*g.u_labels, "iso"], [*g.v_labels, "iso_v"], eu, ev, np.append(g.u_weights, 1.0))
 
 
 def _pinned_queries():

@@ -7,6 +7,7 @@ import itertools
 import re
 import struct
 import tracemalloc
+from collections.abc import Sequence
 from unittest import mock
 
 import numpy as np
@@ -288,9 +289,10 @@ class TestSerialization:
         buf = g.to_bytes()
         h = BipartiteGraph.from_bytes(buf)
         assert h.to_bytes() == buf
-        assert (h.u_labels, h.v_labels, h.u_index, h.v_index) == (
-            g.u_labels, g.v_labels, g.u_index, g.v_index,
-        )
+        assert (h.u_labels, h.v_labels) == (g.u_labels, g.v_labels) == (names[:u_count], names[u_count:])
+        assert [h.u_id(x) for x in names[:u_count]] == [g.u_id(x) for x in names[:u_count]] == list(range(u_count))
+        assert [h.v_id(x) for x in names[u_count:]] == [g.v_id(x) for x in names[u_count:]] == list(
+            range(len(names) - u_count))
         for name in (
             "u_indptr", "u_indices", "u_weights", "v_indptr", "v_indices",
             "v_weights", "ws_u", "ws_v", "deg_u", "deg_v",
@@ -313,16 +315,29 @@ class TestSerialization:
         assert BipartiteGraph.load(path).fingerprint == digest
         assert BipartiteGraph.from_bytes(buf).fingerprint == digest
 
-    def test_load_neither_sorts_nor_reconstructs(self, g3, monkeypatch):
-        buf = g3.to_bytes()
+    def test_load_sorts_no_edges_and_reconstructs_nothing(self, monkeypatch):
+        # The load sorts labels, to check and look them up, but no array as
+        # long as the edges, and it never rebuilds the graph.
+        g = synth_bipartite(30, 20, 400, (1.0, 2.0), seed=7)
+        buf = g.to_bytes()
+        sorted_sizes = []
 
         def refuse(*args, **kwargs):
             raise AssertionError("from_bytes must not call this")
 
+        def recorded(sort):
+            def checked(a, *args, **kwargs):
+                sorted_sizes.append(np.size(a))
+                return sort(a, *args, **kwargs)
+            return checked
+
         monkeypatch.setattr(BipartiteGraph, "__init__", refuse)
-        for name in ("sort", "argsort", "lexsort", "unique"):
+        for name in ("lexsort", "unique"):
             monkeypatch.setattr(np, name, refuse)
-        assert BipartiteGraph.from_bytes(buf).fingerprint == g3.fingerprint
+        for name in ("sort", "argsort"):
+            monkeypatch.setattr(np, name, recorded(getattr(np, name)))
+        assert BipartiteGraph.from_bytes(buf).fingerprint == g.fingerprint
+        assert sorted_sizes and max(sorted_sizes) <= g.u_count + g.v_count < g.edge_count
 
     def test_v1_cache_asks_for_preprocess(self, g2):
         buf = bytearray(g2.to_bytes())
@@ -490,6 +505,43 @@ class TestBuildMemory:
                            g.u_indices, g.u_weights)
         self.assert_flat(extra, graphs)
 
+    def test_load_keeps_no_object_per_label(self):
+        # one edge per node, so the labels are most of what a graph holds;
+        # past the arrays derived from the edges and weight sums, the labels
+        # may keep a few bytes each (their sorted order), not an object each
+        g = synth_bipartite(20000, 20000, 20000, seed=3)
+        buf = g.to_bytes()
+        tracemalloc.start()
+        try:
+            h = BipartiteGraph.from_bytes(buf)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [*vars(h).values(), *(getattr(adj, name) for adj in (h.u_adj, h.v_adj)
+                                      for name in ("data", "indices", "indptr"))]
+        owned = {id(a): a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None}
+        labels = h.u_count + h.v_count
+        assert held - sum(owned.values()) <= 8 * labels + 4096, (held, owned)
+
+    def test_a_few_long_labels_keep_the_load_small(self):
+        # three 1 MB labels that differ only in their last byte, and one on
+        # the V side, among thousands of short ones: no label is padded to
+        # the longest, and long ones are compared a few at a time
+        long = "x" * (1 << 20)
+        shape = synth_bipartite(3000, 3000, 6000, seed=4)
+        u_labels = [*(long + c for c in "abc"), *(f"u{i}" for i in range(3, 3000))]
+        v_labels = [long + "é", *(f"v{i}" for i in range(1, 3000))]
+        buf = BipartiteGraph(u_labels, v_labels, np.repeat(np.arange(3000), shape.deg_u),
+                             shape.u_indices, shape.u_weights).to_bytes()
+        tracemalloc.start()
+        try:
+            g = BipartiteGraph.from_bytes(buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.u_id(long + "b") == 1 and g.v_labels[0] == long + "é"
+        assert peak < 1.5 * len(buf), (peak, len(buf))
+
 
 def _v2_cache(
     u_labels=("u1", "u2"),
@@ -512,6 +564,192 @@ def _v2_cache(
         np.asarray(indices, dtype="<i4").tobytes(),
         *labels,
     ])
+
+
+def _built(u_labels=("u1", "u2"), v_labels=("v1", "v2"), indptr=(0, 2, 4), indices=(0, 1, 0, 1),
+           weights=(1.0, 2.0, 3.0, 4.0)):
+    """The graph `_v2_cache` with the same fields describes, built by the
+    constructor instead of loaded."""
+    eu = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return BipartiteGraph(list(u_labels), list(v_labels), eu, indices, weights)
+
+
+class TestLabelErrors:
+    """Every label check names the same fault in the same words, whether
+    the graph is loaded from a cache or built from label lists."""
+
+    BOTH = "label appears on both sides: "
+    DUPLICATE = "duplicate node label within one side"
+
+    @pytest.fixture(params=["cache", "constructor"])
+    def build(self, request):
+        if request.param == "cache":
+            return lambda **fields: BipartiteGraph.from_bytes(_v2_cache(**fields))
+        return _built
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(u_labels=["u1", "u1"]), DUPLICATE),
+        (dict(v_labels=["v2", "v2"]), DUPLICATE),
+        # a duplicate is named before a label on both sides
+        (dict(u_labels=["x", "x"], v_labels=["v1", "x"]), DUPLICATE),
+        (dict(u_labels=["v2", "u2"]), BOTH + "'v2'"),
+        # the smallest shared label by code point, not by UTF-16 unit or length
+        (dict(u_labels=["\U0001F600", "｡"], v_labels=["｡", "\U0001F600"]), BOTH + repr("｡")),
+        (dict(u_labels=["b", "ab"], v_labels=["ab", "b"]), BOTH + "'ab'"),
+        (dict(u_labels=["u1", "\x00"], v_labels=["\x00", "u1"]), BOTH + repr("\x00")),
+        # a shared label is named before an isolated node
+        (dict(v_labels=["v1", "u1", "v3"]), BOTH + "'u1'"),
+        (dict(v_labels=["v1", "v2", "v3"]), "isolated node on V side: 'v3'"),
+        (dict(indptr=(0, 4, 4), indices=(0, 1, 2, 3), v_labels=["v1", "v2", "v3", "v4"]),
+         "isolated node on U side: 'u2'"),
+        # weights are checked before labels
+        (dict(u_labels=["u1", "u1"], weights=(1.0, float("nan"), 1.0, 1.0)),
+         "edge weights must be positive and finite"),
+    ], ids=["duplicate-u", "duplicate-v", "duplicate-before-shared", "shared", "shared-astral",
+            "shared-longer-is-smaller", "shared-nul", "shared-before-isolated", "isolated-v",
+            "isolated-u", "weights-before-labels"])
+    def test_message(self, build, fields, message):
+        with pytest.raises(DataError) as info:
+            build(**fields)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, reason", [
+        (dict(u_labels=["u1", b"\xff\xfe"]), "invalid start byte"),
+        (dict(v_labels=["v1", b"v\xe2\x82"]), "unexpected end of data"),
+        (dict(u_labels=[b"\xed\xa0\x80", "u2"]), "invalid continuation byte"),
+        # the first bad label gives the reason
+        (dict(u_labels=[b"u\xe2\x82", b"\xff"]), "unexpected end of data"),
+        # label offsets that cut "é" in two: the blob alone is valid UTF-8
+        (dict(u_labels=["ué", "u2"], offsets=[0, 2, 5, 7, 9]), "unexpected end of data"),
+        (dict(u_labels=["ué", "u2"], offsets=[0, 2, 2, 7, 9]), "unexpected end of data"),
+        # a bad label is found before bad weights
+        (dict(u_labels=["u1", b"\xff"], weights=(1.0, float("nan"), 1.0, 1.0)), "invalid start byte"),
+    ], ids=["invalid-start", "truncated", "surrogate", "first-bad-label", "offset-cuts-character",
+            "offset-cuts-before-empty-label", "before-weights"])
+    def test_cache_label_not_utf8(self, fields, reason):
+        with pytest.raises(DataError) as info:
+            BipartiteGraph.from_bytes(_v2_cache(**fields))
+        assert str(info.value) == f"graph cache label is not valid UTF-8: {reason}"
+
+    def test_trailing_nul_is_part_of_the_label(self, build):
+        g = build(u_labels=["a", "a\x00"], v_labels=["\x00", ""])
+        assert list(g.u_labels) == ["a", "a\x00"]
+        assert list(g.v_labels) == ["\x00", ""]
+        assert [g.u_id("a"), g.u_id("a\x00"), g.v_id("\x00"), g.v_id("")] == [0, 1, 0, 1]
+        with pytest.raises(DataError) as info:
+            g.u_id("a\x00\x00")
+        assert str(info.value) == "unknown U-side label: 'a\\x00\\x00'"
+
+    @pytest.mark.parametrize("side, label, message", [
+        ("u", "zz", "unknown U-side label: 'zz'"),
+        ("u", "v1", "unknown U-side label: 'v1'"),
+        ("v", "u1", "unknown V-side label: 'u1'"),
+        ("v", "", "unknown V-side label: ''"),
+        ("u", 0, "unknown U-side label: 0"),
+        ("u", b"u1", "unknown U-side label: b'u1'"),
+        ("v", "v\ud800", "unknown V-side label: 'v\\ud800'"),
+    ])
+    def test_unknown_label(self, build, side, label, message):
+        g = build()
+        with pytest.raises(DataError) as info:
+            (g.u_id if side == "u" else g.v_id)(label)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("u_labels, v_labels, message", [
+        (["a", 1], ["x"], "U-side label is not a string: 1"),
+        (["a", "b"], [b"x"], "V-side label is not a string: b'x'"),
+        (["a", "b\ud800"], ["x"], "U-side label cannot be encoded as UTF-8: 'b\\ud800'"),
+        (["a", "b"], ["\udcff"], "V-side label cannot be encoded as UTF-8: '\\udcff'"),
+    ], ids=["int-label", "bytes-label", "lone-surrogate-u", "lone-surrogate-v"])
+    def test_constructor_rejects_labels_it_cannot_store(self, u_labels, v_labels, message):
+        # such a graph used to build, then fail in fingerprint or save
+        with pytest.raises(DataError) as info:
+            BipartiteGraph(u_labels, v_labels, [0, 1], [0, 0], [1.0, 2.0])
+        assert str(info.value) == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.text(alphabet="ab\x00é\U0001F600", max_size=10), min_size=2, max_size=40, unique=True),
+           st.data(), st.sampled_from([5, 16, bigraph._CHUNK]))
+    def test_matches_a_dict_and_set_reference(self, labels, data, chunk):
+        # Short and long labels, with at most one label added again to
+        # either side, against the checks as dicts and sets make them; a
+        # small chunk splits the UTF-8 check inside characters and the label
+        # compares into many pieces.
+        u_count = data.draw(st.integers(1, len(labels) - 1))
+        u, v = labels[:u_count], labels[u_count:]
+        for again in data.draw(st.lists(st.sampled_from(labels), max_size=1)):
+            side = data.draw(st.sampled_from([u, v]))
+            side.insert(data.draw(st.integers(0, len(side))), again)
+        if len(set(u)) < len(u) or len(set(v)) < len(v):
+            expect = self.DUPLICATE
+        elif set(u) & set(v):
+            expect = self.BOTH + repr(min(set(u) & set(v)))
+        else:
+            expect = None
+        m = max(len(u), len(v))  # edges (i mod |U|, i mod |V|) cover every node once or more
+        edges = sorted({(i % len(u), i % len(v)) for i in range(m)})
+        fields = dict(u_labels=u, v_labels=v, indices=[b for _, b in edges], weights=[1.0] * len(edges),
+                      indptr=np.searchsorted([a for a, _ in edges], np.arange(len(u) + 1)))
+        with mock.patch.object(bigraph, "_CHUNK", chunk):
+            for build in (lambda: BipartiteGraph.from_bytes(_v2_cache(**fields)), lambda: _built(**fields)):
+                if expect is not None:
+                    with pytest.raises(DataError) as info:
+                        build()
+                    assert str(info.value) == expect
+                    continue
+                g = build()
+                assert g.u_labels == u and g.v_labels == v
+                assert [g.u_id(x) for x in u] == list(range(len(u)))
+                assert [g.v_id(x) for x in v] == list(range(len(v)))
+                for x in (*v, *(y + "a" for y in u), "\x00" * 11):
+                    if x not in u:
+                        with pytest.raises(DataError):
+                            g.u_id(x)
+
+    def test_lookup_matches_position(self, build):
+        labels = ["\U0001F600", "｡", "b", "ab", "a", "\x7f", "é", "e"]
+        g = build(u_labels=labels[:4], v_labels=labels[4:], indptr=(0, 1, 2, 3, 4), indices=(0, 1, 2, 3),
+                  weights=(1.0, 2.0, 3.0, 4.0))
+        assert list(g.u_labels) == labels[:4] and list(g.v_labels) == labels[4:]
+        assert [g.u_id(x) for x in labels[:4]] == [0, 1, 2, 3]
+        assert [g.v_id(x) for x in labels[4:]] == [0, 1, 2, 3]
+
+
+class TestLabelTable:
+    @pytest.fixture(params=["cache", "constructor"])
+    def g(self, request):
+        g = synth_bipartite(700, 600, 3000, seed=8)
+        return BipartiteGraph.from_bytes(g.to_bytes()) if request.param == "cache" else g
+
+    def test_reads_like_a_list(self, g):
+        expect = [f"u{i}" for i in range(g.u_count)]
+        table = g.u_labels
+        assert isinstance(table, bigraph.LabelTable) and isinstance(table, Sequence)
+        assert len(table) == g.u_count and list(table) == expect
+        assert table == expect and expect == table and table != expect[:-1] and table != g.v_labels
+        assert table[0] == "u0" and table[-1] == expect[-1] and table[np.int32(5)] == "u5"
+        assert list(reversed(table)) == expect[::-1]
+        for bad in (g.u_count, -g.u_count - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        for bad in (1.0, slice(0, 2)):
+            with pytest.raises(TypeError):
+                table[bad]
+        assert "u17" in table and "v17" not in table and 17 not in table
+        assert table.index("u17") == 17
+        with pytest.raises(ValueError):
+            table.index("v17")
+        assert table.count("u3") == 1
+
+    def test_every_label_is_found_where_it_is(self, g):
+        for table, lookup in ((g.u_labels, g.u_id), (g.v_labels, g.v_id)):
+            assert [lookup(label) for label in table] == list(range(len(table)))
+
+    def test_a_table_builds_the_same_graph_as_its_list(self, g):
+        eu = np.repeat(np.arange(g.u_count), g.deg_u)
+        a = BipartiteGraph(g.u_labels, g.v_labels, eu, g.u_indices, g.u_weights)
+        b = BipartiteGraph(list(g.u_labels), list(g.v_labels), eu, g.u_indices, g.u_weights)
+        assert a.to_bytes() == b.to_bytes() == g.to_bytes()
 
 
 class TestEdgeListParsing:

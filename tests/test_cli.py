@@ -67,6 +67,12 @@ def index_dir(tmp_path_factory):
 
 
 class TestSynthPreprocess:
+    def test_synth_writes_the_pinned_file(self, index_dir):
+        # seed 5's edge list, byte for byte as it has always been written
+        _, graph, _, _ = index_dir
+        digest = hashlib.sha256(graph.read_bytes()).hexdigest()
+        assert digest == "34bbb22a1dd4a1a709be7bc323af2a3f552f59410f667e20848ae3ae64ae6621"
+
     def test_preprocess_reports_index_facts(self, index_dir):
         _, _, idx, out = index_dir
         facts = dict(line.split("=", 1) for line in out.strip().splitlines())

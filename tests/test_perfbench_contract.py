@@ -2,20 +2,22 @@
 
 perfbench's worker wraps the push kernels by name, times rounds by their
 phase names and reads fixed keys from every phase trace, in untraced runs
-too. These tests load the worker by path and run its tracer and readers
-over real queries, so a kernel, phase or trace key they rely on cannot
-disappear unnoticed.
+too. It also iterates a graph's U labels and walks the graph's attributes.
+These tests load the worker by path and run its tracer and readers over
+real queries and a loaded graph, so a kernel, phase, trace key or graph
+attribute they rely on cannot disappear unnoticed.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bipush
 import bipush.cli  # noqa: F401  (the tracer wraps cli.main too)
-from bipush import build_index_meta, synth_bipartite
+from bipush import BipartiteGraph, build_index_meta, synth_bipartite
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
@@ -81,3 +83,30 @@ def test_counts_of_reads_every_answer(worker, traced_answers):
             assert counts["forward_n_p"] == fwd["n_p"] > 0
             assert counts["forward_selective_rounds"] == fwd["selective_rounds"]
             assert counts["power_iterations"] == fwd["power_iterations"]
+
+
+def test_score_sink_and_resident_bytes_read_a_loaded_graph(worker, tmp_path):
+    # The worker writes each score vector in generator order, reading the
+    # generator index from every U label, and sizes the graph by walking
+    # its attributes; both on a graph loaded from a cache, as the benchmark
+    # loads it. Here U label u<i> sits at index perm[i], not i.
+    shape = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
+    perm = np.random.default_rng(1).permutation(shape.u_count)
+    u_labels = [None] * shape.u_count
+    for i, at in enumerate(perm):
+        u_labels[at] = f"u{i}"
+    eu = perm[np.repeat(np.arange(shape.u_count), shape.deg_u)]
+    BipartiteGraph(u_labels, shape.v_labels, eu, shape.u_indices, shape.u_weights).save(tmp_path / "graph.bin")
+    g = BipartiteGraph.load(tmp_path / "graph.bin")
+    res = bipush.bhpp_query(g, build_index_meta(g), "u7", 1e-4)
+
+    sink = worker.ScoreSink(tmp_path / "scores.bin")
+    rec = sink.keep("ssbipush", g, 1e-4, res)
+    keys = sink.close()
+    assert rec["checksum"] == worker.checksum(res.scores)
+    assert keys[0]["label"] == "u7" and res.query_index == perm[7]
+    written = np.fromfile(tmp_path / "scores.bin")
+    np.testing.assert_array_equal(written, res.scores[perm])
+
+    # at least the V side, which the load builds
+    assert worker.resident_bytes(g) >= g.v_weights.nbytes + g.v_indices.nbytes
