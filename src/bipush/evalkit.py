@@ -19,6 +19,7 @@ import numpy as np
 from .baselines import build_alias, mcsp_query
 from .bhpp_query import IndexMeta, bhpp_query, build_index_meta
 from .bigraph import BipartiteGraph, DataError
+from .csr import CsrView
 from .rng import substream
 
 
@@ -122,10 +123,12 @@ def split_edges(
     # the ORIGINAL graph.
     test_strat = strat_of[held]
     test_other = other_of[held]
-    pool = np.unique(test_other)
+    # np.unique's sorted distinct values, by counting: np.unique imports
+    # numpy.ma, which no CLI path needs.
+    pool = np.flatnonzero(np.bincount(test_other))
     candidates: dict[int, list[int]] = {}
     neg_rng = substream(seed, "negatives", side)
-    for node in np.unique(test_strat).tolist():
+    for node in np.flatnonzero(np.bincount(test_strat)).tolist():
         positives = sorted(int(x) for x in test_other[test_strat == node])
         # assume_unique keeps pool's ascending order, which the draws index.
         nbrs = strat_indices[strat_indptr[node] : strat_indptr[node + 1]]
@@ -223,17 +226,16 @@ def predict_score(v: int, ui: int, sim, s_size: int, split: EvalSplit) -> float:
 
 
 def jaccard_rows(g: BipartiteGraph):
-    """Row callable: neighbor-set Jaccard coefficients against every U node."""
-    import scipy.sparse as sp  # only here, to keep it off the CLI's imports
+    """Row callable: neighbor-set Jaccard coefficients against every U node.
 
-    binary = sp.csr_matrix(
-        (np.ones(g.edge_count), g.u_indices.astype(np.int64), g.u_indptr),
-        shape=(g.u_count, g.v_count),
-    )
-    binary_t = binary.T.tocsr()
+    The shared-neighbor counts are the 0/1 adjacency times ui's neighbor
+    indicator, as in desirability_row."""
+    binary = CsrView(np.ones(g.edge_count), g.u_indices, g.u_indptr, (g.u_count, g.v_count))
 
     def row(ui: int) -> np.ndarray:
-        inter = np.asarray((binary[ui] @ binary_t).todense()).ravel()
+        mark = np.zeros(g.v_count)
+        mark[g.u_indices[g.u_indptr[ui] : g.u_indptr[ui + 1]]] = 1.0
+        inter = binary @ mark
         union = g.deg_u[ui] + g.deg_u - inter
         return inter / union
 

@@ -29,13 +29,12 @@ Every kernel runs the same loop of thresholded rounds, `_rounds`, which stops
 when no U residue exceeds the kernel's stop threshold, where it has one, or
 when the kernel's switch rule says so. It asks both before every round, the
 first included, so no round pushes nothing and a kernel met at entry runs
-none. Both budgeted kernels share the paper's budget: selective pushing
-has stopped paying for itself once n_p (degree sum of every node pushed so
+none. ss_push switches on the paper's budget: selective pushing has
+stopped paying for itself once n_p (degree sum of every node pushed so
 far) exceeds 2|E| log_{1/(1-alpha)}(1 / ratio), where ratio is the
-ws-weighted residue mass sum_i ws(u_i) r(u_i) over its value at entry. The
-ratio starts at 1 and never grows, so the budget is never negative, hub
-targets included. ss_push then switches to sequential rounds that push
-every positive residue.
+ws-weighted residue mass sum_i ws(u_i) r(u_i) over its value at entry.
+ss_push then switches to sequential rounds that push every positive
+residue.
 
 pi_push answers a two-way query with one ledger. The two-hop chain is
 reversible with respect to ws (ws_i P_ij = ws_j P_ji), so ws(u_i) pi_i(u) =
@@ -86,14 +85,21 @@ long as that lowers its energy; once rounding stops it falling (an eps
 near the float64 floor) the finish returns the bound it certified, above
 eps.
 
-pi_push switches on cost first. A CG step costs 2|E| of n_p, and a round
+pi_push switches on cost. A CG step costs 2|E| of n_p, and a round
 boundary prices the finish at tau: its a-priori depth is the smallest k
 with tau^k (1-alpha) (min(sum x, ws_max w) + ws(u) w) <= eps, w being the
 width (max r - min r) / ws(u), so depth 0 is the bracket exit. Before each
 round pi_push switches once the last round's n_p exceeded 2|E| times the
 drop in that depth, or once the depth is zero, at entry included (the
-trace's switched_by is "cost"). The paper's budget stays as a cap
-(switched_by "cap"), so its complexity bound still holds.
+trace's switched_by is "cost"). That rule alone bounds the pushing. A
+round runs only at a positive depth and pushes at least one edge, and the
+next one runs only if that n_p was at most 2|E| times the drop in depth,
+so each round that another follows lowers the depth by at least 1. Hence
+there are at most d0 rounds, d0 being the depth priced at entry. A round
+pushes each node at most once, so it costs at most 2|E|, and n_p is at
+most 2|E| (d0 + 1). At entry x is the unit vector at u and the width is
+1 / ws(u), so d0 <= ceil(log_{1/tau}(2 (1-alpha) / (tau eps))); with the
+finish's cap the work is O(|E| log 1/eps), the order of the paper's bound.
 
 Cost model: every push adds the pushed node's degree to n_p, and the
 kernels' actual work is proportional to n_p. Rounds run over the whole
@@ -239,9 +245,13 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
     n_p against the paper's budget 2|E| log_{1/(1-alpha)}(1 / ratio), ratio
     being the ws-weighted residue mass over ws(target), and on exhaustion
     switches to sequential rounds (threshold zero) until every residue is at
-    most epsilon_b. Either way the exit guarantees max residue <= epsilon_b,
-    hence the epsilon_b accuracy of the estimates; the trace's residue_bound
-    is that max residue (hidden-walk rows sum to 1, so it bounds the error).
+    most epsilon_b. The ratio starts at 1 and never grows, because a push of
+    residue r at u_i takes alpha * ws(u_i) * r off the weighted mass and
+    moves the rest, so the budget is never negative, hub targets included;
+    at entry it is 0 and so is n_p, which lets the first round run. Either
+    way the exit guarantees max residue <= epsilon_b, hence the epsilon_b
+    accuracy of the estimates; the trace's residue_bound is that max residue
+    (hidden-walk rows sum to 1, so it bounds the error).
     """
     _check_alpha(alpha)
     if epsilon_b <= 0:
@@ -250,7 +260,8 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
     w_ratio = g.ws_u / g.ws_u[target_u]
 
     def spent() -> bool:
-        return _budget_spent(g, alpha, led.n_p, float((w_ratio * led.residue_u).sum()))
+        ratio = float((w_ratio * led.residue_u).sum())
+        return led.n_p > 2.0 * g.edge_count * math.log(1.0 / ratio) / math.log(1.0 / (1.0 - alpha))
 
     sel_rounds, met = _rounds(g, led, alpha, epsilon_b, epsilon_b, "selective", round_hook, spent)
     seq_rounds = 0
@@ -277,22 +288,15 @@ def pi_push(g, source_u: int, alpha: float, epsilon: float, round_hook=None) -> 
     trace's residue_bound certifies the forward scores (0 <= true - score
     <= residue_bound) and its backward_bound the backward ones read off
     them: they are the halves of what the finish left uncertain, and
-    power_tail_bound, their sum, is at most epsilon. switched_by is "cost"
-    or "cap", and tail_floor is the lo of the bracket whose lower end the
-    scores were credited: that of x / ws when the bracket at the switch
-    certifies the tail with no step, and min rho / ws of the final residual
-    rho, which may be negative, otherwise. power_iterations counts the
-    conjugate-gradient steps run and depth_cap the step by which exact
-    arithmetic certifies (0 when none ran). The finish returns whatever
-    bound it certified, which rounding can leave above an epsilon near the
-    float64 floor; bhpp_query refuses such a query.
-
-    The paper's budget is a complexity backstop that is not expected to
-    fire: in 30,000 runs on random, skewed, 30-decade-weight, pendant and
-    hub graphs at epsilons 1e-2 to 1e-8, the cost rule, priced at the
-    finish's rate, always switched first. Only
-    test_paper_budget_caps_rounds_that_pay, which prices rounds at
-    1-alpha, reaches switched_by "cap".
+    power_tail_bound, their sum, is at most epsilon. switched_by is "cost",
+    the one switch rule, and tail_floor is the lo of the bracket whose
+    lower end the scores were credited: that of x / ws when the bracket at
+    the switch certifies the tail with no step, and min rho / ws of the
+    final residual rho, which may be negative, otherwise. power_iterations
+    counts the conjugate-gradient steps run and depth_cap the step by which
+    exact arithmetic certifies (0 when none ran). The finish returns
+    whatever bound it certified, which rounding can leave above an epsilon
+    near the float64 floor; bhpp_query refuses such a query.
     """
     _check_alpha(alpha)
     if not 0.0 < epsilon / 2.0 < math.inf:
@@ -326,23 +330,18 @@ def pi_push(g, source_u: int, alpha: float, epsilon: float, round_hook=None) -> 
 
     depth = priced_depth()
     round_start = 0
-    switched_by = None
 
     def spent() -> bool:
         # A conjugate-gradient step costs 2|E| of n_p: switch once the last
         # round's n_p outweighs the steps it took off the certified depth,
-        # or no round can take any off (all residues zero included). The
-        # paper's budget caps the pushing either way.
-        nonlocal mass, depth, round_start, switched_by
+        # or no round can take any off (all residues zero included).
+        nonlocal mass, depth, round_start
         mass = float((w_ratio * led.residue_u).sum())
         prev_depth = depth
         depth = priced_depth()
-        if depth == 0 or led.n_p - round_start > 2 * g.edge_count * (prev_depth - depth):
-            switched_by = "cost"
-        elif _budget_spent(g, alpha, led.n_p, mass):
-            switched_by = "cap"
+        cost = led.n_p - round_start
         round_start = led.n_p
-        return switched_by is not None
+        return depth == 0 or cost > 2 * g.edge_count * (prev_depth - depth)
 
     # No residue threshold ends the rounds: only the switch rule does.
     rounds, _ = _rounds(g, led, alpha, lambda r: _PUSH_SHARE * float(r.max()), -math.inf,
@@ -371,7 +370,7 @@ def pi_push(g, source_u: int, alpha: float, epsilon: float, round_hook=None) -> 
         "residue_bound": fwd_tail,
         "backward_bound": back_tail,
         "n_p": led.n_p,
-        "switched_by": switched_by,
+        "switched_by": "cost",
     }
     return PushOutcome(led, trace, "budget-switch", scores=scores)
 
@@ -460,16 +459,6 @@ def _cg_steps(alpha: float, epsilon: float, rho: np.ndarray, ws: np.ndarray, ws_
 def _check_alpha(alpha):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-
-
-def _budget_spent(g, alpha: float, n_p: int, ratio: float) -> bool:
-    """The paper's switch budget: True once n_p exceeds 2|E|
-    log_{1/(1-alpha)}(1 / ratio). ratio is the ws-weighted residue mass
-    over its value at the kernel's entry; it starts at 1 and never grows,
-    because a push of residue r at u_i takes alpha * ws(u_i) * r off the
-    weighted mass and moves the rest. At entry the budget is 0 and so is
-    n_p, so the rule lets the first round run."""
-    return n_p > 2.0 * g.edge_count * math.log(1.0 / ratio) / math.log(1.0 / (1.0 - alpha))
 
 
 def _rounds(g, led: ResidueLedger, alpha: float, push_above, stop_at, phase: str,

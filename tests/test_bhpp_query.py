@@ -155,7 +155,7 @@ class TestBhppQuery:
         back, fwd = res.phase_trace["backward"], res.phase_trace["forward"]
         assert back["residue_bound"] + fwd["residue_bound"] <= res.epsilon
         if fwd["terminated_by"] == "budget-switch":
-            assert fwd["switched_by"] in ("cost", "cap")
+            assert fwd["switched_by"] == "cost"
 
     @settings(max_examples=60, deadline=None)
     @given(

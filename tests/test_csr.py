@@ -2,6 +2,7 @@
 operand guard, the fallback import, and scipy.sparse kept off the CLI."""
 
 import importlib.machinery
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 import bipush
+import bipush.cli
 import bipush.csr as csr
 from bipush import BipartiteGraph, bhpp_query, build_index_meta, pisp_query, synth_bipartite
 from conftest import scipy_adj
@@ -148,10 +150,15 @@ def test_cli_paths_never_import_scipy_sparse(tmp_path):
     g = synth_bipartite(60, 50, 400, (0.0, 3.0), seed=7)
     g.save(tmp_path / "graph.bin")
     bipush.save_meta(build_index_meta(g), tmp_path / "meta.json")
+    edges = tmp_path / "g.tsv"
+    assert bipush.cli.main(["synth", "--u-count", "60", "--v-count", "50", "--edge-count", "400",
+                            "--seed", "7", "--out", str(edges)], out=io.StringIO()) == 0
     argvs = [
         ["topk", "--index", str(tmp_path), "--query", "u1", "--k", "5"],
         ["bench", "--index", str(tmp_path), "--methods", "ssbipush,pisp",
          "--epsilons", "1e-3", "--queries", "3"],
+        ["eval-qr", "--graph", str(edges), "--methods", "jaccard,ssbipush,naive-ppr",
+         "--queries", "4", "--ks", "3"],
     ]
     src = str(Path(bipush.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -159,4 +166,4 @@ def test_cli_paths_never_import_scipy_sparse(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report == {"import": [], "topk": [0, [], ""], "bench": [0, [], ""]}
+    assert report == {"import": [], "topk": [0, [], ""], "bench": [0, [], ""], "eval-qr": [0, [], ""]}

@@ -260,6 +260,14 @@ class TestSimilarityPlugs:
         # u1 has {v1,v2}, u2 has {v2}: intersection 1, union 2
         np.testing.assert_allclose(row, [1.0, 0.5], atol=1e-15)
 
+    def test_jaccard_matches_neighbor_sets(self):
+        g = synth_bipartite(40, 30, 200, (0.0, 5.0), degree_skew=1.2, seed=3)
+        nbrs = [set(g.u_indices[g.u_indptr[i] : g.u_indptr[i + 1]].tolist()) for i in range(g.u_count)]
+        rows = jaccard_rows(g)
+        for ui in range(g.u_count):
+            expect = [len(nbrs[ui] & n) / len(nbrs[ui] | n) for n in nbrs]
+            np.testing.assert_array_equal(rows(ui), expect)
+
     def test_naive_ppr_rows_are_subprobability(self):
         rng = np.random.default_rng(17)
         g = random_bigraph(rng, 15, 15, 3.0)

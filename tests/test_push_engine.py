@@ -66,6 +66,18 @@ def dense_walk(g, dtype=np.float64):
     return (w / g.ws_u[:, None]) @ (w.T / g.ws_v[:, None])
 
 
+def entry_depth(g, src, eps):
+    """The depth pi_push prices at entry, from the unit residue at src: the
+    smallest k with tau^k (1-alpha) (min(1, ws_max w) + ws(src) w) <= eps,
+    w being the width of r / ws(src), at the rate pe._cg_rate gives."""
+    rate = pe._cg_rate(ALPHA)
+    ws_src = float(g.ws_u[src])
+    r = ResidueLedger.initial(g, src).residue_u
+    w = float(r.max()) / ws_src - float(r.min()) / ws_src
+    bound = min(1.0, float(g.ws_u.max()) * w) + ws_src * w
+    return required_iterations(ALPHA, eps, (1.0 - ALPHA) / rate * bound, rate)
+
+
 def is_connected(g) -> bool:
     w = scipy_adj(g)
     adj = sp.bmat([[None, w], [w.T, None]])
@@ -395,8 +407,8 @@ class TestPiPush:
 
     def test_budget_exit_finishes_with_power_iterations(self):
         # pushing from u4 of a skewed graph stops paying before the certified
-        # depth reaches zero; the residue tail is then folded in with
-        # truncated power iterations
+        # depth reaches zero; conjugate-gradient steps then finish the
+        # residue tail
         g = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
         out = pi_push(g, 4, ALPHA, 1e-4)
         assert out.terminated_by == "budget-switch"
@@ -438,11 +450,10 @@ class TestPiPush:
         assert out.scores[0] == ALPHA
         self._check(g, 0, out)
 
-    def test_cost_rule_switches_before_the_cap(self):
+    def test_cost_rule_switches_once_rounds_stop_paying(self):
         # On a skewed graph the rounds stop paying for themselves, priced at
-        # the rate of conjugate gradients, after one round, where the
-        # paper's budget alone would let them run on. The steps certify the
-        # tail 8 steps before their cap.
+        # the rate of conjugate gradients, after one round. The steps
+        # certify the tail 8 steps before their cap.
         g = synth_bipartite(300, 300, 1200, (0.0, 10.0), degree_skew=1.2, seed=0)
         src, eps = 30, 1e-4
         out = pi_push(g, src, ALPHA, eps)
@@ -450,41 +461,29 @@ class TestPiPush:
         assert out.terminated_by == "budget-switch" and trace["switched_by"] == "cost"
         assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (1, 10, 18)
         check_finish(g, src, eps, out)
-
-        # The same rounds under the paper's budget alone: each pushes most of
-        # the residue mass, so the budget grows about as fast as n_p and has
-        # not fired after 100 of them.
-        capped = ResidueLedger.initial(g, src)
-        w_ratio = g.ws_u / g.ws_u[src]
-        fired = []
-
-        def cap_spent():
-            fired.append(pe._budget_spent(g, ALPHA, capped.n_p, float(w_ratio @ capped.residue_u)))
-            return fired[-1] or len(fired) > 100
-
-        cap_rounds, met = pe._rounds(g, capped, ALPHA, lambda r: pe._PUSH_SHARE * r.max(), -math.inf,
-                                     "forward-selective", None, cap_spent)
-        assert not met and cap_rounds == 100 and not any(fired)
         self._check(g, src, out)
 
-    def test_paper_budget_caps_rounds_that_pay(self, monkeypatch):
+    def test_cost_rule_alone_stops_rounds_that_keep_paying(self, monkeypatch):
         # The pendant's weight sum is 2e5 times the clique's, and each round
         # from u1 hands it a residue under a share of the largest, never
         # pushed, that holds a growing share of the ws-weighted mass. Priced
         # at conjugate gradients' rate, the rounds stop paying after two.
         # Priced at power iteration's, they keep taking iterations off the
-        # certified depth for what they cost, so the cost rule would push
-        # on, while the weighted mass falls ever slower, until the paper's
-        # budget is spent; the finish after that cap is certified as any
-        # other.
+        # certified depth for what they cost, while the weighted mass falls
+        # ever slower; each round that another follows still lowers the
+        # depth, so the cost rule stops them within the depth priced at
+        # entry, and the finish after them is certified as any other.
         g = heavy_pendant_graph()
         trace = pi_push(g, 1, ALPHA, 1e-3).phase_trace
         assert (trace["selective_rounds"], trace["power_iterations"], trace["switched_by"]) == (2, 2, "cost")
         monkeypatch.setattr(pe, "_cg_rate", lambda alpha: 1.0 - alpha)
         out = pi_push(g, 1, ALPHA, 1e-3)
         trace = out.phase_trace
-        assert trace["switched_by"] == "cap"
-        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (7, 2, 118)
+        d0 = entry_depth(g, 1, 1e-3)
+        assert trace["switched_by"] == "cost"
+        assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"], d0) == (8, 2, 117, 46)
+        assert trace["selective_rounds"] <= d0
+        assert out.ledger.n_p == 401 <= 2 * g.edge_count * (d0 + 1)
         assert out.ledger.residue_u[-1] < pe._PUSH_SHARE * out.ledger.residue_u.max()
         check_finish(g, 1, 1e-3, out, rate=1.0 - ALPHA)
         self._check(g, 1, out)
@@ -526,10 +525,10 @@ class TestPiPush:
         st.sampled_from([1e-4, 1e-7, 1e-10]),
     )
     def test_certified_depth_keeps_guarantee(self, seed, shape, eps):
-        # The power-iteration depth comes from the reversible-walk bound when
-        # it beats the residue mass; either way both halves stay within
-        # their bounds below the truth, the bounds within eps, and the depth
-        # never exceeds the one the mass and max residue alone ask for.
+        # The finish's conjugate-gradient steps never exceed the
+        # power-iteration depth the residue mass and max residue alone ask
+        # for; both halves stay within their bounds below the truth, and
+        # the bounds within eps.
         rng = np.random.default_rng(seed)
         if shape == "hub":
             g = hub_graph(int(rng.integers(3, 40)))
@@ -551,7 +550,41 @@ class TestPiPush:
         mass = float((g.ws_u / g.ws_u[src] * r).sum())
         assert trace["power_iterations"] <= required_iterations(ALPHA, eps, mass + float(r.max()))
         assert 0.0 <= trace["power_tail_bound"] <= eps
-        assert trace["switched_by"] in ("cost", "cap")
+        assert trace["switched_by"] == "cost"
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([None, 1.2, 2.0]),
+        st.sampled_from([1e-2, 1e-5, 1e-8, 1e-12]),
+    )
+    def test_cost_rule_bounds_the_rounds(self, seed, skew, eps):
+        # A round runs only at a positive priced depth, and the next only if
+        # its n_p, at least 1, was at most 2|E| times the drop in depth: so
+        # at most d0 rounds, d0 being the depth priced at entry, at most
+        # 2|E| of n_p each, and d0 logarithmic in 1/eps.
+        rng = np.random.default_rng(seed)
+        u_count, v_count = (int(n) for n in rng.integers(5, 201, 2))
+        edges = int(rng.integers(max(u_count, v_count), min(u_count * v_count, 4 * max(u_count, v_count)) + 1))
+        g = synth_bipartite(u_count, v_count, edges, (0.0, 10.0), degree_skew=skew, seed=seed)
+        src = int(rng.integers(0, g.u_count))
+        depths = []
+
+        def priced(*args):
+            depths.append(required_iterations(*args))
+            return depths[-1]
+
+        with mock.patch.object(pe, "required_iterations", priced):
+            out = pi_push(g, src, ALPHA, eps)
+        d0 = entry_depth(g, src, eps)
+        # the kernel's first priced depth is the one the test computes
+        assert depths[0] == d0
+        trace = out.phase_trace
+        assert trace["switched_by"] == "cost"
+        assert trace["selective_rounds"] <= d0
+        assert out.ledger.n_p <= 2 * g.edge_count * (d0 + 1)
+        tau = pe._cg_rate(ALPHA)
+        assert d0 <= math.ceil(math.log(2.0 * (1.0 - ALPHA) / (tau * eps)) / math.log(1.0 / tau))
 
     def test_certified_depth_below_mass_depth(self):
         # On a uniform graph the bracket certifies the tail where the
