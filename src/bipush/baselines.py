@@ -190,29 +190,11 @@ def mcsp_query(
     `deadline` pass to monte_carlo, which caps the walks of a run with no
     deadline.
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
-    q = resolve_query(g, query_u)
-    half = epsilon / 2.0
-    t0 = time.perf_counter()
-    fwd = monte_carlo(g, alias, q, alpha, half, p_f, seed, deadline=deadline)
-    t1 = time.perf_counter()
-    back = selective_push(g, q, alpha, half)
-    t2 = time.perf_counter()
-    return QueryResult(
-        method="mcsp",
-        query_index=q,
-        scores=fwd + back.ledger.estimate,
-        epsilon=epsilon,
-        epsilon_b=half,
-        epsilon_f=half,
-        timing={"forward": t1 - t0, "backward": t2 - t1, "total": t2 - t0},
-        phase_trace={
-            "forward": {"n_walks": mc_walk_count(half, p_f, g.u_count)},
-            "backward": {**back.phase_trace, "terminated_by": back.terminated_by},
-        },
-        u_labels=g.u_labels,
-    )
+    def forward(q, half):
+        fwd = monte_carlo(g, alias, q, alpha, half, p_f, seed, deadline=deadline)
+        return fwd, {"n_walks": mc_walk_count(half, p_f, g.u_count)}
+
+    return _split_budget("mcsp", g, query_u, alpha, epsilon, forward)
 
 
 def pisp_query(g: BipartiteGraph, query_u, alpha: float, epsilon: float) -> QueryResult:
@@ -220,20 +202,30 @@ def pisp_query(g: BipartiteGraph, query_u, alpha: float, epsilon: float) -> Quer
 
     One-sided guarantee: 0 <= true - score <= epsilon entrywise.
     """
+    def forward(q, half):
+        depth = required_iterations(alpha, half, 1.0)
+        start = np.zeros(g.u_count)
+        start[q] = 1.0
+        return power_iteration(g, start, alpha, depth), {"power_iterations": depth}
+
+    return _split_budget("pisp", g, query_u, alpha, epsilon, forward)
+
+
+def _split_budget(method, g, query_u, alpha, epsilon, forward) -> QueryResult:
+    """A query that spends half of `epsilon` on `forward(q, half)`, which
+    returns the forward scores and their phase trace, and half on the
+    backward selective push; the scores are the two estimates added."""
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     q = resolve_query(g, query_u)
     half = epsilon / 2.0
-    depth = required_iterations(alpha, half, 1.0)
-    start = np.zeros(g.u_count)
-    start[q] = 1.0
     t0 = time.perf_counter()
-    fwd = power_iteration(g, start, alpha, depth)
+    fwd, fwd_trace = forward(q, half)
     t1 = time.perf_counter()
     back = selective_push(g, q, alpha, half)
     t2 = time.perf_counter()
     return QueryResult(
-        method="pisp",
+        method=method,
         query_index=q,
         scores=fwd + back.ledger.estimate,
         epsilon=epsilon,
@@ -241,7 +233,7 @@ def pisp_query(g: BipartiteGraph, query_u, alpha: float, epsilon: float) -> Quer
         epsilon_f=half,
         timing={"forward": t1 - t0, "backward": t2 - t1, "total": t2 - t0},
         phase_trace={
-            "forward": {"power_iterations": depth},
+            "forward": fwd_trace,
             "backward": {**back.phase_trace, "terminated_by": back.terminated_by},
         },
         u_labels=g.u_labels,

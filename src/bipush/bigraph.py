@@ -20,6 +20,11 @@ Node labels stay UTF-8 bytes in one blob per graph, U labels then V labels,
 as the cache stores them. Each side reads it through a `LabelTable`, which
 decodes a label only when it is read and finds one by binary search.
 
+A graph is built one way: the constructor packs its edges and labels into
+the version-2 cache buffer `graph.bin` holds, and both it and `from_bytes`
+end in `_load`, which checks that buffer and views its arrays in place.
+`save`, `to_bytes` and `fingerprint` use the buffer as it is.
+
 Graphs are immutable after construction: every array is built eagerly and
 marked read-only. Only the fingerprint is computed on first use.
 """
@@ -59,8 +64,8 @@ class LabelTable(Sequence):
     """One side's node labels in index order: a read-only sequence of str.
 
     Label i is the UTF-8 text `blob[offsets[i]:offsets[i+1]]`, decoded each
-    time it is read. On a loaded graph the blob and offsets are views into
-    the cache buffer. `order` lists the labels sorted by (byte length,
+    time it is read. The blob and offsets are views into the graph's cache
+    buffer. `order` lists the labels sorted by (byte length,
     bytes), so `index` finds a label by binary search in O(log n) and
     allocates nothing of size n. A table equals another table or a list
     with the same labels.
@@ -142,11 +147,10 @@ class BipartiteGraph:
         u_count, v_count, edge_count: basic sizes.
         u_labels, v_labels: each side's node labels in index order, as a
             `LabelTable`. Both tables read one UTF-8 blob, U labels then V
-            labels; on a graph from `from_bytes` it is a view into the cache
-            buffer. `u_id` and `v_id` find a label's index.
+            labels, a view into the cache buffer. `u_id` and `v_id` find a
+            label's index.
         u_indptr, u_indices, u_weights: U-side CSR (neighbors are V indices,
-            each row sorted by neighbor index); on a graph from `from_bytes`
-            they are views into the cache buffer.
+            each row sorted by neighbor index), views into the cache buffer.
         v_indptr, v_indices, v_weights: V-side CSR (neighbors are U indices).
         ws_u, ws_v: per-node incident weight sums (always positive).
         deg_u, deg_v: per-node neighbor counts (always at least 1).
@@ -172,38 +176,87 @@ class BipartiteGraph:
         if ev.min() < 0 or ev.max() >= v_count:
             raise DataError("edge endpoint out of range on the V side")
 
-        # Canonical order: U-side rows sorted by (u, v). Duplicate pairs are a
-        # constructor error; merging belongs to from_edges / load_edge_list.
-        # The endpoints are in range here, so one int64 key per pair sorts
-        # like (u, v), and a stable sort of that key beats a lexsort.
-        key = eu * v_count + ev
-        order = np.argsort(key, kind="stable")
-        eu, ev, ew = eu[order], ev[order], ew[order]
-        if (np.diff(key[order]) == 0).any():
-            raise DataError("duplicate edge passed to constructor")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(eu, minlength=u_count))))
-        offsets = np.zeros(u_count + v_count + 1, dtype=np.int64)
-        np.cumsum(np.concatenate((u_sizes, v_sizes)), out=offsets[1:])
-        self._finish(b"".join((u_blob, v_blob)), _frozen(offsets), u_count,
-                     indptr, ev.astype(np.int32), ew)
+        # Canonical order: U-side rows sorted by (u, v), one int64 key per
+        # in-range pair. `_load`'s row check rejects a repeated pair; merging
+        # belongs to from_edges / load_edge_list.
+        order = np.argsort(eu * v_count + ev, kind="stable")
+        self._load(b"".join((
+            _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, u_count, v_count, eu.size),
+            ew[order].astype("<f8", copy=False),
+            np.cumsum(np.concatenate(([0], np.bincount(eu, minlength=u_count))), dtype="<i8"),
+            np.cumsum(np.concatenate(([0], u_sizes, v_sizes)), dtype="<i8"),
+            ev[order].astype("<i4"),
+            u_blob, v_blob,
+        )))
 
-    def _finish(self, blob, offsets, u_count, indptr, indices, weights):
-        """Check labels and weights, then derive the rest of the graph.
+    def _load(self, buf):
+        """Check the version-2 cache `buf` and build the graph on it.
 
-        The labels are the valid UTF-8 `blob`, U labels then V labels, with
-        label i at `blob[offsets[i]:offsets[i+1]]`. The U-side CSR must
-        already be canonical: indptr runs from 0 to the edge count without
-        decreasing, and each row's indices are in range and strictly
-        increasing. Both `__init__` and `from_bytes` end here. Apart from
-        the arrays the graph keeps, nothing here allocates more than
-        `_BLOCK` edges' worth at a time.
+        Layout (little endian): a 32-byte header of magic "BPGR", u32
+        version, u64 u_count, u64 v_count and u64 edge_count; then
+        f8 u_weights[edge_count], i8 u_indptr[u_count+1],
+        i8 label_offsets[u_count+v_count+1], i4 u_indices[edge_count], and
+        one UTF-8 blob holding the U labels then the V labels. Label i is
+        blob[label_offsets[i]:label_offsets[i+1]]. Every array starts at a
+        multiple of its item size, so it is viewed in place. Only the U side
+        is stored; the V side is derived here.
+
+        Both `__init__` and `from_bytes` end here, and the buffer is trusted
+        for nothing: canonical row order, no repeated pair, indices in
+        range, positive finite weights, UTF-8 labels, distinct labels and no
+        isolated node are checked, the edges in O(edges) and the labels by
+        sorting them, and any violation raises DataError. Apart from the
+        arrays the graph keeps, nothing here allocates more than `_BLOCK`
+        edges' worth at a time.
         """
+        if len(buf) < _HEADER.size or buf[:4] != CACHE_MAGIC:
+            raise DataError("not a graph cache file (bad magic)")
+        _, version, u_count, v_count, edge_count = _HEADER.unpack_from(buf)
+        if version != CACHE_VERSION:
+            raise DataError(
+                f"graph cache version {version} is not supported (this build "
+                f"reads version {CACHE_VERSION}); rerun `bipush preprocess` to rebuild it"
+            )
+        # Every count is bounded by the buffer before any array is viewed.
+        w_at = _HEADER.size
+        p_at = w_at + 8 * edge_count
+        o_at = p_at + 8 * (u_count + 1)
+        i_at = o_at + 8 * (u_count + v_count + 1)
+        blob_at = i_at + 4 * edge_count
+        if blob_at > len(buf):
+            raise DataError("graph cache header counts exceed the file size")
+        if edge_count == 0:
+            raise DataError("empty graph: at least one edge is required")
+        weights = np.frombuffer(buf, dtype="<f8", count=edge_count, offset=w_at)
+        indptr = np.frombuffer(buf, dtype="<i8", count=u_count + 1, offset=p_at)
+        offsets = np.frombuffer(buf, dtype="<i8", count=u_count + v_count + 1, offset=o_at)
+        indices = np.frombuffer(buf, dtype="<i4", count=edge_count, offset=i_at)
+
+        if indptr[0] != 0 or indptr[-1] != edge_count or (np.diff(indptr) < 0).any():
+            raise DataError("corrupt adjacency offsets in graph cache")
+        if indices.min() < 0 or indices.max() >= v_count:
+            raise DataError("edge endpoint out of range in graph cache")
+        # Within a row indices must strictly increase; a step that does not
+        # is allowed only where a new row starts. A block at a time: the
+        # steps into edges a..b-1, with the row starts among them exempt.
+        for a in range(1, edge_count, _BLOCK):
+            b = min(a + _BLOCK, edge_count)
+            ok = np.diff(indices[a - 1:b]) > 0
+            ok[indptr[np.searchsorted(indptr, a):np.searchsorted(indptr, b)] - a] = True
+            if not ok.all():
+                raise DataError("graph cache rows are unsorted or repeat an edge")
+
+        blob = memoryview(buf)[blob_at:]
+        if offsets[0] != 0 or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any():
+            raise DataError("corrupt label offsets in graph cache")
+        _check_utf8(blob, offsets)
         if not (weights.min() > 0 and weights.max() < np.inf):  # both false for NaN
             raise DataError("edge weights must be positive and finite")
         u_order, v_order = _label_orders(blob, offsets, u_count)
+        self._buf = buf  # the views keep it alive anyway; save, to_bytes and fingerprint use it
         self.u_count = u_count
-        self.v_count = offsets.size - 1 - u_count
-        self.edge_count = int(indices.size)
+        self.v_count = v_count
+        self.edge_count = edge_count
         self.u_labels = LabelTable(blob, offsets[:u_count + 1], u_order)
         self.v_labels = LabelTable(blob, offsets[u_count:], v_order)
 
@@ -288,93 +341,25 @@ class BipartiteGraph:
     # -- serialization ---------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize into the stable binary cache format, version 2.
-
-        Layout (little endian): a 32-byte header of magic "BPGR", u32
-        version, u64 u_count, u64 v_count and u64 edge_count; then
-        f8 u_weights[edge_count], i8 u_indptr[u_count+1],
-        i8 label_offsets[u_count+v_count+1], i4 u_indices[edge_count], and
-        one UTF-8 blob holding the U labels then the V labels. Label i is
-        blob[label_offsets[i]:label_offsets[i+1]]. Every array starts at a
-        multiple of its item size, so `from_bytes` can view it in place.
-        Only the U side is stored; the V side is derived on load.
-        """
-        u, v = self.u_labels, self.v_labels  # both read one blob
-        return b"".join([
-            _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, self.u_count, self.v_count, self.edge_count),
-            self.u_weights.astype("<f8", copy=False),
-            self.u_indptr.astype("<i8", copy=False),
-            u.offsets.astype("<i8", copy=False),
-            v.offsets[1:].astype("<i8", copy=False),
-            self.u_indices.astype("<i4", copy=False),
-            u.blob,
-        ])
+        """The graph's version-2 cache, laid out as `_load` describes. Every
+        graph already holds it, so nothing is serialized."""
+        return bytes(self._buf)
 
     @classmethod
     def from_bytes(cls, buf: bytes) -> "BipartiteGraph":
-        """Load a version-2 cache written by `to_bytes`.
+        """Load a version-2 cache such as `to_bytes` returns.
 
-        The arrays and the label blob are read-only views into `buf`, not
-        copies. The cache is trusted for nothing: every structural property
-        the constructor would establish (canonical row order, no duplicate
-        pair, indices in range, positive finite weights, UTF-8 labels,
-        distinct labels, no isolated node) is checked, the edges in
-        O(edges) and the labels by sorting them, and any violation raises
-        DataError.
+        `_load` checks it, as it checks every constructed graph, and the
+        arrays and the label blob are read-only views into `buf`, not
+        copies. Any violation of the layout raises DataError.
         """
-        if len(buf) < _HEADER.size or buf[:4] != CACHE_MAGIC:
-            raise DataError("not a graph cache file (bad magic)")
-        _, version, u_count, v_count, edge_count = _HEADER.unpack_from(buf)
-        if version != CACHE_VERSION:
-            raise DataError(
-                f"graph cache version {version} is not supported (this build "
-                f"reads version {CACHE_VERSION}); rerun `bipush preprocess` to rebuild it"
-            )
-        # Every count is bounded by the buffer before any array is viewed.
-        w_at = _HEADER.size
-        p_at = w_at + 8 * edge_count
-        o_at = p_at + 8 * (u_count + 1)
-        i_at = o_at + 8 * (u_count + v_count + 1)
-        blob_at = i_at + 4 * edge_count
-        if blob_at > len(buf):
-            raise DataError("graph cache header counts exceed the file size")
-        if edge_count == 0:
-            raise DataError("empty graph: at least one edge is required")
-        weights = np.frombuffer(buf, dtype="<f8", count=edge_count, offset=w_at)
-        indptr = np.frombuffer(buf, dtype="<i8", count=u_count + 1, offset=p_at)
-        offsets = np.frombuffer(buf, dtype="<i8", count=u_count + v_count + 1, offset=o_at)
-        indices = np.frombuffer(buf, dtype="<i4", count=edge_count, offset=i_at)
-
-        if indptr[0] != 0 or indptr[-1] != edge_count or (np.diff(indptr) < 0).any():
-            raise DataError("corrupt adjacency offsets in graph cache")
-        if indices.min() < 0 or indices.max() >= v_count:
-            raise DataError("edge endpoint out of range in graph cache")
-        # Within a row indices must strictly increase; a step that does not
-        # is allowed only where a new row starts. A block at a time: the
-        # steps into edges a..b-1, with the row starts among them exempt.
-        for a in range(1, edge_count, _BLOCK):
-            b = min(a + _BLOCK, edge_count)
-            ok = np.diff(indices[a - 1:b]) > 0
-            ok[indptr[np.searchsorted(indptr, a):np.searchsorted(indptr, b)] - a] = True
-            if not ok.all():
-                raise DataError("graph cache rows are unsorted or repeat an edge")
-
-        blob = memoryview(buf)[blob_at:]
-        if offsets[0] != 0 or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any():
-            raise DataError("corrupt label offsets in graph cache")
-        _check_utf8(blob, offsets)
-
         g = cls.__new__(cls)
-        g._finish(blob, offsets, u_count, indptr, indices, weights)
-        g._cache_bytes = buf  # the views keep it alive anyway; fingerprint hashes it
+        g._load(buf)
         return g
 
     def save(self, path) -> None:
-        """Write the cache and keep the sha256 of the written bytes as the
-        fingerprint, so a save needs no second serialization to hash."""
-        data = self.to_bytes()
-        Path(path).write_bytes(data)
-        self.__dict__.setdefault("fingerprint", hashlib.sha256(data).hexdigest())
+        """Write the graph's cache buffer, the bytes `fingerprint` hashes."""
+        Path(path).write_bytes(self._buf)
 
     @classmethod
     def load(cls, path) -> "BipartiteGraph":
@@ -382,13 +367,9 @@ class BipartiteGraph:
 
     @cached_property
     def fingerprint(self) -> str:
-        """Hex sha256 of the canonical serialization.
-
-        A graph from `from_bytes` hashes the buffer it was loaded from, which
-        equals `to_bytes()` for every cache `from_bytes` accepts.
-        """
-        data = getattr(self, "_cache_bytes", None)
-        return hashlib.sha256(self.to_bytes() if data is None else data).hexdigest()
+        """Hex sha256 of the graph's cache buffer, which is what `save`
+        writes, whether the graph was constructed or loaded."""
+        return hashlib.sha256(self._buf).hexdigest()
 
     def __repr__(self):
         return (

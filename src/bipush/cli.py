@@ -319,8 +319,6 @@ def cmd_preprocess(cfg, out, err) -> int:
     g = _load_graph(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Saving first lets build_index_meta reuse the fingerprint save hashed
-    # from the bytes it wrote.
     g.save(out_dir / "graph.bin")
     meta = build_index_meta(g, alpha=cfg.alpha)
     build_seconds = time.perf_counter() - t0

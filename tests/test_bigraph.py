@@ -46,10 +46,11 @@ class TestConstruction:
             BipartiteGraph(["x"], ["x"], [0], [0], [1.0])
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(DataError):
+        # the cache's row check rejects it, as it would in a loaded file
+        with pytest.raises(DataError, match="repeat an edge"):
             BipartiteGraph(["u1"], ["v1"], [0, 0], [0, 0], [1.0, 2.0])
         # the repeated pair is not adjacent in input order
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="repeat an edge"):
             BipartiteGraph(["u1", "u2"], ["v1", "v2"], [0, 1, 0], [0, 1, 0], [1.0, 1.0, 2.0])
 
     def test_rejects_nonpositive_weight(self):
@@ -239,6 +240,28 @@ class TestSerialization:
         path = tmp_path / "g.bin"
         g3.save(path)
         assert BipartiteGraph.load(path).fingerprint == g3.fingerprint
+
+    @pytest.mark.parametrize("build, size, digest", [
+        (lambda: synth_bipartite(50, 40, 300, (0.0, 5.0), degree_skew=1.0, seed=0), 5018,
+         "b76897b4ae7ffec9be999b5dbea7a945d8c216f19e5049192f4fc7afc8d87587"),
+        (lambda: BipartiteGraph(["é", "ü1", "𝔘"], ["v", "ß"], [0, 1, 2, 2, 0], [0, 1, 0, 1, 1],
+                                [1.0, 2.5, 0.5, 3.0, 1e-3]), 184,
+         "aa14d3e36d3bb60831307c8ec99c2c83876469387a24b46e29cdb826fe52e5f9"),
+    ], ids=["synth", "multibyte-labels"])
+    def test_cache_bytes_are_pinned(self, build, size, digest):
+        # A round trip cannot see a layout change made alike in the writer
+        # and the reader, and every meta.json holds a hash of these bytes.
+        buf = build().to_bytes()
+        assert (len(buf), hashlib.sha256(buf).hexdigest()) == (size, digest)
+
+    def test_constructed_graph_is_views_into_its_cache(self, g3):
+        buf = g3.to_bytes()
+        h = BipartiteGraph.from_bytes(buf)
+        assert set(vars(g3)) - {"fingerprint"} == set(vars(h)) - {"fingerprint"}
+        data = np.frombuffer(buf, np.uint8)
+        for g in (g3, h):
+            for a in (g.u_weights, g.u_indptr, g.u_indices, g.u_labels.offsets):
+                assert np.shares_memory(a, data) and not a.flags.writeable
 
     def test_bad_magic_rejected(self, g2):
         buf = bytearray(g2.to_bytes())
@@ -490,16 +513,16 @@ class TestBuildMemory:
         bufs = [g.to_bytes() for g in graphs]
         self.assert_flat([self.transient(lambda: BipartiteGraph.from_bytes(b)) for b in bufs], graphs)
 
-    def test_constructor_finish(self, graphs, monkeypatch):
-        # The constructor's own sort needs edge-length arrays; the finish
-        # it shares with the load must not.
-        finish = BipartiteGraph._finish
+    def test_constructor_load(self, graphs, monkeypatch):
+        # The constructor's own sort and packing need edge-length arrays;
+        # the load it shares with from_bytes must not.
+        load = BipartiteGraph._load
         extra = []
 
-        def traced(g, *args):
-            extra.append(self.transient(lambda: finish(g, *args)))
+        def traced(g, buf):
+            extra.append(self.transient(lambda: load(g, buf)))
 
-        monkeypatch.setattr(BipartiteGraph, "_finish", traced)
+        monkeypatch.setattr(BipartiteGraph, "_load", traced)
         for g in graphs:
             BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u),
                            g.u_indices, g.u_weights)

@@ -6,6 +6,7 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 import bipush.baselines as baselines
@@ -100,23 +101,26 @@ class TestSynthPreprocess:
         assert int(facts["u_count"]) <= 40
 
     def test_preprocess_serializes_once(self, index_dir, tmp_path, monkeypatch):
-        # one serialization is both hashed for the fingerprint and written
+        # graph.bin is the built graph's own cache buffer, written as it is,
+        # and meta.json's fingerprint is that buffer's sha256
         _, graph, _, _ = index_dir
-        real = BipartiteGraph.to_bytes
-        calls = []
+        real = BipartiteGraph._load
+        built = []
 
-        def counted(self):
-            calls.append(1)
-            return real(self)
+        def recorded(g, buf):
+            built.append(g)
+            real(g, buf)
 
-        monkeypatch.setattr(BipartiteGraph, "to_bytes", counted)
+        monkeypatch.setattr(BipartiteGraph, "_load", recorded)
         out_dir = tmp_path / "idx"
         code, _, err = run_cli("preprocess", "--graph", str(graph), "--out-dir", str(out_dir))
         assert code == EXIT_OK, err
-        assert len(calls) == 1
+        [g] = built
+        data = (out_dir / "graph.bin").read_bytes()
+        assert data == g.to_bytes()
+        assert np.shares_memory(g.u_weights, np.frombuffer(g.to_bytes(), np.uint8))
         meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
-        digest = hashlib.sha256((out_dir / "graph.bin").read_bytes()).hexdigest()
-        assert meta["graph_fingerprint"] == digest
+        assert meta["graph_fingerprint"] == hashlib.sha256(data).hexdigest() == g.fingerprint
 
 
 class TestQueryTopk:
