@@ -1,5 +1,12 @@
 """Approximate two-way walk-similarity queries over weighted bipartite graphs."""
 
+import os
+from importlib import import_module
+
+# bipush calls no BLAS routine, yet numpy's OpenBLAS starts a thread per extra
+# core when it loads. Set before numpy is imported; a value already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .baselines import (
     AliasTables,
     DeadlineExceeded,
@@ -21,26 +28,10 @@ from .bhpp_query import (
 from .bigraph import (
     BipartiteGraph,
     DataError,
-    hidden_transition_entry,
     k_core_filter,
     load_edge_list,
     synth_bipartite,
 )
-from .evalkit import (
-    EvalSplit,
-    RankedJudgment,
-    desirability,
-    jaccard_rows,
-    naive_ppr_rows,
-    ndcg_at_k,
-    precision_recall_at_k,
-    predict_score,
-    qr_ndcg_eval,
-    rec_eval,
-    similarity_rows,
-    split_edges,
-)
-from .oracle import DenseHpp, exact_bhpp, exact_hpp, exact_hpp_solve
 from .push_engine import (
     PushOutcome,
     ResidueLedger,
@@ -73,7 +64,6 @@ __all__ = [
     "exact_bhpp",
     "exact_hpp",
     "exact_hpp_solve",
-    "hidden_transition_entry",
     "jaccard_rows",
     "k_core_filter",
     "load_edge_list",
@@ -100,3 +90,34 @@ __all__ = [
     "synth_bipartite",
     "topk",
 ]
+
+# Only the `eval-*` commands and the tests use these, so a cold command never
+# imports their modules: each name loads on first use (PEP 562).
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "EvalSplit",
+            "RankedJudgment",
+            "desirability",
+            "jaccard_rows",
+            "naive_ppr_rows",
+            "ndcg_at_k",
+            "precision_recall_at_k",
+            "predict_score",
+            "qr_ndcg_eval",
+            "rec_eval",
+            "similarity_rows",
+            "split_edges",
+        ),
+        "evalkit",
+    ),
+    **dict.fromkeys(("DenseHpp", "exact_bhpp", "exact_hpp", "exact_hpp_solve"), "oracle"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -281,11 +281,11 @@ class BipartiteGraph:
             i = int(np.flatnonzero(self.deg_v == 0)[0])
             raise DataError(f"isolated node on V side: {self.v_labels[i]!r}")
 
-        # A V row lists its weights in ascending U order, the order a pass
-        # over the U side's edges meets them, so each sum adds its terms as
-        # `np.bincount` over those edges would.
-        self.ws_u = _frozen(_row_sums(self.u_indptr, self.u_weights))
-        self.ws_v = _frozen(_row_sums(self.v_indptr, self.v_weights))
+        # `csr_matvec` adds each row's terms left to right from 0.0, and
+        # w * 1.0 is exact, so each sum is bit for bit what `np.bincount`
+        # over the edges' row ids gives (a V row is in ascending U order).
+        self.ws_u = _frozen(self.u_adj @ np.ones(self.v_count))
+        self.ws_v = _frozen(self.v_adj @ np.ones(self.u_count))
         # The kernels divide weight sums by one another; a ratio that
         # overflows would turn scores into NaN.
         for side, ws in (("U", self.ws_u), ("V", self.ws_v)):
@@ -376,25 +376,6 @@ class BipartiteGraph:
             f"BipartiteGraph(u={self.u_count}, v={self.v_count}, "
             f"edges={self.edge_count})"
         )
-
-
-def _row_sums(indptr, data) -> np.ndarray:
-    """Each CSR row's entries added left to right from 0.0, bit for bit as
-    `np.bincount` over the entries' row ids adds them, `_BLOCK` entries at
-    a time. A row that runs on into a block brings its partial sum in as
-    the block's first term, so no row's sum is split."""
-    sums = np.zeros(indptr.size - 1)
-    for a in range(0, data.size, _BLOCK):
-        b = min(a + _BLOCK, data.size)
-        # Rows first..last-1 hold the block's entries; first may start before it.
-        first = int(np.searchsorted(indptr, a, side="right")) - 1
-        last = int(np.searchsorted(indptr, b))
-        counts = np.diff(np.clip(indptr[first:last + 1], a, b))
-        counts[0] += 1
-        terms = np.concatenate(([sums[first]], data[a:b]))
-        sums[first:last] = np.bincount(np.repeat(np.arange(last - first), counts),
-                                       weights=terms, minlength=last - first)
-    return sums
 
 
 def _encoded(side, labels):
@@ -596,35 +577,12 @@ def load_edge_list(source, delimiter=None, default_weight=None) -> BipartiteGrap
     return BipartiteGraph._merged(list(u_index), list(v_index), eu, ev, ew)
 
 
-def hidden_transition_entry(g: BipartiteGraph, ui: int, uj: int) -> float:
-    """One entry of the implicit U-to-U two-hop transition matrix.
-
-    Sums, over V-nodes adjacent to both ui and uj, the probability of
-    stepping ui -> v -> uj with both hops weight-proportional.
-    """
-    a0, a1 = g.u_indptr[ui], g.u_indptr[ui + 1]
-    b0, b1 = g.u_indptr[uj], g.u_indptr[uj + 1]
-    total = 0.0
-    i, j = a0, b0
-    ws_ui = g.ws_u[ui]
-    while i < a1 and j < b1:
-        vi, vj = g.u_indices[i], g.u_indices[j]
-        if vi < vj:
-            i += 1
-        elif vi > vj:
-            j += 1
-        else:
-            total += (g.u_weights[i] / ws_ui) * (g.u_weights[j] / g.ws_v[vi])
-            i += 1
-            j += 1
-    return float(total)
-
-
 def k_core_filter(g: BipartiteGraph, k: int) -> BipartiteGraph:
     """Iteratively drop nodes with fewer than k neighbors; rebuild the rest.
 
-    Returns g unchanged for k <= 1 (no node is isolated by construction).
-    Raises DataError when nothing survives.
+    Returns g itself when no node has fewer than k neighbors (always for
+    k <= 1: no node is isolated by construction). Raises DataError when
+    nothing survives.
     """
     if k <= 1:
         return g
@@ -632,6 +590,8 @@ def k_core_filter(g: BipartiteGraph, k: int) -> BipartiteGraph:
     deg_v = g.deg_v.astype(np.int64)
     keep_u, keep_v = deg_u >= k, deg_v >= k
     drop_u, drop_v = np.flatnonzero(~keep_u), np.flatnonzero(~keep_v)
+    if not (drop_u.size or drop_v.size):
+        return g
     # Peel in rounds: the nodes a round drops take one degree from each
     # neighbor per shared edge, so every edge is counted off once and a long
     # chain of rounds never rescans the whole graph.

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from itertools import combinations
 from pathlib import Path
@@ -33,7 +32,6 @@ from .bhpp_query import (
     topk as topk_of,
 )
 from .bigraph import BipartiteGraph, DataError, k_core_filter, load_edge_list, synth_bipartite
-from .evalkit import qr_ndcg_eval, rec_eval
 from .rng import substream
 
 EXIT_OK = 0
@@ -422,7 +420,11 @@ def cmd_bench(cfg, out, err) -> int:
                 return _answer(method, g, meta, q, eps, cfg.p_f, walk_seed, alias, deadline)
 
             try:
-                pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
+                pool = None
+                if cfg.threads > 1:  # a serial bench never loads concurrent.futures
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool = ThreadPoolExecutor(max_workers=cfg.threads)
                 with pool or nullcontext():
                     for r in (pool.map if pool else map)(run_one, enumerate(queries)):
                         times.append(r.timing["total"])
@@ -485,6 +487,8 @@ def cmd_eval_qr(cfg, out, err) -> int:
     if cfg.queries < 1:
         raise UsageError("--queries must be positive")
     _check_methods(cfg.methods, EVAL_METHODS)
+    from .evalkit import qr_ndcg_eval
+
     g = _load_graph(cfg)
     rows = qr_ndcg_eval(
         g,
@@ -506,6 +510,8 @@ def cmd_eval_rec(cfg, out, err) -> int:
     if cfg.users < 1:
         raise UsageError("--users must be positive")
     _check_methods(cfg.methods, EVAL_METHODS)
+    from .evalkit import rec_eval
+
     g = _load_graph(cfg)
     rows = rec_eval(
         g,

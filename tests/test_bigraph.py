@@ -21,13 +21,33 @@ from bipush import (
     DataError,
     bhpp_query,
     build_index_meta,
-    hidden_transition_entry,
     k_core_filter,
     load_edge_list,
     synth_bipartite,
 )
 from bipush.csr import CsrView
 from conftest import random_bigraph, scipy_adj
+
+
+def hidden_transition_entry(g: BipartiteGraph, ui: int, uj: int) -> float:
+    """One entry of the implicit U-to-U two-hop transition matrix: over the
+    V nodes adjacent to both ui and uj, the probability of stepping
+    ui -> v -> uj with both hops weight-proportional."""
+    a0, a1 = g.u_indptr[ui], g.u_indptr[ui + 1]
+    b0, b1 = g.u_indptr[uj], g.u_indptr[uj + 1]
+    total = 0.0
+    i, j = a0, b0
+    while i < a1 and j < b1:
+        vi, vj = g.u_indices[i], g.u_indices[j]
+        if vi < vj:
+            i += 1
+        elif vi > vj:
+            j += 1
+        else:
+            total += (g.u_weights[i] / g.ws_u[ui]) * (g.u_weights[j] / g.ws_v[vi])
+            i += 1
+            j += 1
+    return float(total)
 
 
 class TestConstruction:
@@ -98,6 +118,22 @@ class TestConstruction:
         )
         assert g.edge_count == 2
         assert g.ws_u[g.u_id("u1")] == pytest.approx(3.5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_weight_sums_are_bincounts_over_300_decades(self, seed):
+        # Each sum adds its row's weights left to right from 0.0, bit for bit
+        # as np.bincount over the edges' row ids, however wide the spread.
+        rng = np.random.default_rng(seed)
+        shape = random_bigraph(rng, int(rng.integers(2, 15)), int(rng.integers(1, 15)), 4.0)
+        eu = np.repeat(np.arange(shape.u_count), shape.deg_u)
+        w = 10.0 ** rng.uniform(-150.0, 150.0, shape.edge_count)
+        w[[0, -1]] = 1e-150, 1e150
+        g = BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_indices, w)
+        for h in (g, BipartiteGraph.from_bytes(g.to_bytes())):
+            for ws, rows, n in ((h.ws_u, eu, h.u_count), (h.ws_v, h.u_indices, h.v_count)):
+                expect = np.bincount(rows, weights=h.u_weights, minlength=n)
+                assert ws.dtype == expect.dtype and ws.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("triples", [
         [(1, 0, 1.0), (0, 1, 1.0)],
@@ -887,6 +923,14 @@ class TestKCore:
 
     def test_k1_returns_graph_unchanged(self, g3):
         assert k_core_filter(g3, 1) is g3
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_returns_graph_itself_when_no_node_falls_below_k(self, seed):
+        g = synth_bipartite(200, 150, 2400, (0.0, 3.0), seed=seed)
+        k = int(min(g.deg_u.min(), g.deg_v.min()))
+        assert k >= 2
+        assert k_core_filter(g, k) is g
+        assert k_core_filter(g, k + 1) is not g
 
     def test_empty_core_raises(self, g2):
         with pytest.raises(DataError, match="k-core is empty"):

@@ -1,5 +1,6 @@
 """CSR views over the graph's arrays: bit-identity with scipy.sparse, the
-operand guard, the fallback import, and scipy.sparse kept off the CLI."""
+operand guard, the fallback import, and what a cold CLI process loads:
+no scipy.sparse, no module its command does not run, no BLAS threads."""
 
 import importlib.machinery
 import io
@@ -129,24 +130,37 @@ class TestFallback:
 
 
 HEAVY = ("scipy.sparse", "numpy.f2py", "numpy.testing", "numpy.ma")
+# Modules only `eval-*`, `bench --threads N` and the tests need.
+UNUSED = ("bipush.evalkit", "bipush.oracle", "concurrent.futures")
 
 PROBE = """
 import io, json, sys
-heavy = {heavy!r}
-loaded = lambda: [m for m in heavy if m in sys.modules]
+loaded = lambda names: [m for m in names if m in sys.modules]
 report = {{}}
 import bipush.cli as cli
-report["import"] = loaded()
+report["import"] = {{"heavy": loaded({heavy!r}), "unused": loaded({unused!r})}}
 for argv in {argvs!r}:
     out, err = io.StringIO(), io.StringIO()
     code = cli.main(argv, out=out, err=err)
-    report[argv[0]] = [code, loaded(), err.getvalue()]
+    report[argv[0]] = {{"code": code, "heavy": loaded({heavy!r}), "unused": loaded({unused!r}),
+                        "stderr": err.getvalue()}}
 print(json.dumps(report))
 """
 
 
-def test_cli_paths_never_import_scipy_sparse(tmp_path):
-    # Checked in a fresh interpreter: this test process has scipy.sparse.
+def _child_env(**extra):
+    """This process's environment with `src` on PYTHONPATH, plus `extra`;
+    a value of None drops the variable."""
+    src = str(Path(bipush.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(extra)
+    return {key: value for key, value in env.items() if value is not None}
+
+
+@pytest.fixture(scope="module")
+def probe_report(tmp_path_factory):
+    # Run in a fresh interpreter: this test process has loaded every module.
+    tmp_path = tmp_path_factory.mktemp("probe")
     g = synth_bipartite(60, 50, 400, (0.0, 3.0), seed=7)
     g.save(tmp_path / "graph.bin")
     bipush.save_meta(build_index_meta(g), tmp_path / "meta.json")
@@ -160,10 +174,53 @@ def test_cli_paths_never_import_scipy_sparse(tmp_path):
         ["eval-qr", "--graph", str(edges), "--methods", "jaccard,ssbipush,naive-ppr",
          "--queries", "4", "--ks", "3"],
     ]
-    src = str(Path(bipush.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(heavy=HEAVY, argvs=argvs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(heavy=HEAVY, unused=UNUSED, argvs=argvs)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report == {"import": [], "topk": [0, [], ""], "bench": [0, [], ""], "eval-qr": [0, [], ""]}
+    return json.loads(proc.stdout)
+
+
+def test_cli_paths_never_import_scipy_sparse(probe_report):
+    assert {cmd: row["heavy"] for cmd, row in probe_report.items()} == dict.fromkeys(
+        ("import", "topk", "bench", "eval-qr"), [])
+    assert {cmd: (row["code"], row["stderr"]) for cmd, row in probe_report.items() if cmd != "import"} == (
+        dict.fromkeys(("topk", "bench", "eval-qr"), (0, "")))
+
+
+def test_cold_commands_load_only_what_they_run(probe_report):
+    # The package's evalkit and oracle names load on first use, and only a
+    # threaded bench starts a pool; eval-qr imports what it needs and runs.
+    assert {cmd: probe_report[cmd]["unused"] for cmd in ("import", "topk", "bench")} == dict.fromkeys(
+        ("import", "topk", "bench"), [])
+    assert probe_report["eval-qr"]["code"] == 0
+    assert "bipush.evalkit" in probe_report["eval-qr"]["unused"]
+
+
+OPENBLAS_PROBE = """
+import json, os
+import bipush.cli
+task = "/proc/self/task"
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"),
+                  len(os.listdir(task)) if os.path.isdir(task) else None]))
+"""
+
+
+def _openblas_child(value):
+    proc = subprocess.run([sys.executable, "-c", OPENBLAS_PROBE], capture_output=True, text=True,
+                          env=_child_env(OPENBLAS_NUM_THREADS=value), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_starts_no_blas_thread_pool():
+    # The variable is dropped: this process's own `import bipush` set it, and
+    # a child would inherit it.
+    setting, threads = _openblas_child(None)
+    assert setting == "1"
+    if threads is None:
+        pytest.skip("no /proc/self/task to count the process's threads")
+    assert threads == 1
+
+
+def test_a_user_set_blas_thread_count_is_kept():
+    assert _openblas_child("2")[0] == "2"
