@@ -27,6 +27,7 @@ from .rng import substream
 # 1.1e6 walks/s measured on a 400k-edge graph. A deadline lifts the cap,
 # because it stops the run itself.
 MAX_WALKS = 10**9
+WALK_BATCH = 1 << 17  # walks per batch, each from its own substream
 
 
 class DeadlineExceeded(Exception):
@@ -124,15 +125,14 @@ def monte_carlo(
     epsilon_f: float,
     p_f: float,
     seed: int,
-    batch_size: int = 1 << 17,
     deadline: float | None = None,
 ) -> np.ndarray:
     """Forward score estimates from restart walks; frequencies sum to one.
 
     Each walk stops with probability alpha before every hop (so staying put
     is possible) and otherwise takes the two-leg step U -> V -> U with
-    weight-proportional draws. Batches use independent named substreams of
-    `seed`, so the result is reproducible regardless of batch scheduling.
+    weight-proportional draws. Batches of WALK_BATCH walks use named
+    substreams of `seed`, so thread scheduling cannot change the result.
     `deadline` (time.perf_counter units) is checked between batches.
     Without one, a walk count over MAX_WALKS raises ValueError before any
     walk. `alias` None builds the tables after that check.
@@ -157,7 +157,7 @@ def monte_carlo(
             raise DeadlineExceeded(
                 f"walk budget exhausted after {done} of {n_walks} walks"
             )
-        n = min(batch_size, n_walks - done)
+        n = min(WALK_BATCH, n_walks - done)
         gen = substream(seed, "mc-batch", batch_index)
         cur = np.full(n, source_u, dtype=np.int64)
         while cur.size:

@@ -94,6 +94,22 @@ _RANK = {
     "method": (str, "ssbipush", "ssbipush, mcsp, or pisp"),
     "p_f": (float, 1e-6, "walk failure probability (mcsp)"),
 }
+# The two studies' shared options, in --help order: each study's own options
+# come between these two groups.
+_STUDY_INPUT = {
+    **_BATCH,
+    "graph": (str, _REQUIRED, "edge-list path"),
+    "delimiter": (str, None, "column delimiter"),
+    "default_weight": (float, None, "weight for two-column lines"),
+    "kcore": (int, None, "apply k-core filtering first"),
+    "holdout": (float, 0.2, "held-out edge fraction"),
+    "ks": (_ints, [5, 10], "comma-separated cutoffs"),
+}
+_STUDY_SIM = {
+    "methods": (_strs, ["ssbipush", "jaccard", "naive-ppr"], "similarities"),
+    "epsilon": (float, 1e-5, "accuracy for push-based similarities"),
+    "alpha": (float, 0.15, "restart probability"),
+}
 
 _SCHEMAS: dict[str, dict] = {
     "synth": {
@@ -136,33 +152,18 @@ _SCHEMAS: dict[str, dict] = {
         "timeout": (float, 3600.0, "wall-clock seconds per query before exclusion"),
     },
     "eval-qr": {
-        **_BATCH,
-        "graph": (str, _REQUIRED, "edge-list path"),
-        "delimiter": (str, None, "column delimiter"),
-        "default_weight": (float, None, "weight for two-column lines"),
-        "kcore": (int, None, "apply k-core filtering first"),
-        "holdout": (float, 0.2, "held-out edge fraction"),
-        "ks": (_ints, [5, 10], "comma-separated cutoffs"),
+        **_STUDY_INPUT,
         "queries": (int, 100, "number of sampled queries"),
-        "methods": (_strs, ["ssbipush", "jaccard", "naive-ppr"], "similarities"),
-        "epsilon": (float, 1e-5, "accuracy for push-based similarities"),
-        "alpha": (float, 0.15, "restart probability"),
+        **_STUDY_SIM,
         "weighted_degree": (_bool, False, "weight-sum desirability denominator"),
     },
     "eval-rec": {
-        **_BATCH,
-        "graph": (str, _REQUIRED, "edge-list path"),
-        "delimiter": (str, None, "column delimiter"),
-        "default_weight": (float, None, "weight for two-column lines"),
-        "kcore": (int, None, "apply k-core filtering first"),
+        **_STUDY_INPUT,
         "holdout": (float, 0.2, "held-out edge fraction (per user)"),
-        "ks": (_ints, [5, 10], "comma-separated cutoffs"),
         "negatives": (int, 100, "sampled non-edges per user"),
         "s_size": (int, 50, "similar-item neighborhood size"),
         "users": (int, 100, "number of evaluated users"),
-        "methods": (_strs, ["ssbipush", "jaccard", "naive-ppr"], "similarities"),
-        "epsilon": (float, 1e-5, "accuracy for push-based similarities"),
-        "alpha": (float, 0.15, "restart probability"),
+        **_STUDY_SIM,
     },
 }
 
@@ -308,11 +309,17 @@ def cmd_synth(cfg, out, err) -> int:
     return EXIT_OK
 
 
+def _check_fractions(cfg, *names) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if not 0.0 < value < 1.0:
+            raise UsageError(f"--{name} must lie strictly between 0 and 1, got {value}")
+
+
 def cmd_preprocess(cfg, out, err) -> int:
     # Checked before anything is written, so a bad value leaves no graph.bin
     # without its meta.json.
-    if not 0.0 < cfg.alpha < 1.0:
-        raise UsageError(f"--alpha must lie strictly between 0 and 1, got {cfg.alpha}")
+    _check_fractions(cfg, "alpha")
     t0 = time.perf_counter()
     g = _load_graph(cfg)
     out_dir = Path(cfg.out_dir)
@@ -480,53 +487,26 @@ def cmd_bench(cfg, out, err) -> int:
     return EXIT_TIMEOUT if any(r.get("excluded") for r in rows) else EXIT_OK
 
 
-_EVAL_COLUMNS = ["method", "k", "metric", "mean", "stddev", "n"]
-
-
-def cmd_eval_qr(cfg, out, err) -> int:
-    if cfg.queries < 1:
-        raise UsageError("--queries must be positive")
+def cmd_eval(cfg, out, err) -> int:
+    qr = cfg.command == "eval-qr"
+    count, flag = (cfg.queries, "--queries") if qr else (cfg.users, "--users")
+    if count < 1:
+        raise UsageError(f"{flag} must be positive")
     _check_methods(cfg.methods, EVAL_METHODS)
-    from .evalkit import qr_ndcg_eval
+    # Checked before the graph is read, as preprocess checks --alpha.
+    _check_fractions(cfg, "alpha", "holdout")
+    if not qr and cfg.negatives < 0:
+        raise UsageError(f"--negatives must be nonnegative, got {cfg.negatives}")
+    from . import evalkit
 
     g = _load_graph(cfg)
-    rows = qr_ndcg_eval(
-        g,
-        holdout_ratio=cfg.holdout,
-        ks=tuple(cfg.ks),
-        n_queries=cfg.queries,
-        methods=tuple(cfg.methods),
-        epsilon=cfg.epsilon,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
-        weighted_degree=cfg.weighted_degree,
-        threads=cfg.threads,
-    )
-    emit_rows(rows, _EVAL_COLUMNS, cfg.format, out)
-    return EXIT_OK
-
-
-def cmd_eval_rec(cfg, out, err) -> int:
-    if cfg.users < 1:
-        raise UsageError("--users must be positive")
-    _check_methods(cfg.methods, EVAL_METHODS)
-    from .evalkit import rec_eval
-
-    g = _load_graph(cfg)
-    rows = rec_eval(
-        g,
-        holdout_ratio=cfg.holdout,
-        ks=tuple(cfg.ks),
-        negatives=cfg.negatives,
-        s_size=cfg.s_size,
-        n_users=cfg.users,
-        methods=tuple(cfg.methods),
-        epsilon=cfg.epsilon,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
-        threads=cfg.threads,
-    )
-    emit_rows(rows, _EVAL_COLUMNS, cfg.format, out)
+    shared = dict(holdout_ratio=cfg.holdout, ks=tuple(cfg.ks), methods=tuple(cfg.methods),
+                  epsilon=cfg.epsilon, alpha=cfg.alpha, seed=cfg.seed, threads=cfg.threads)
+    if qr:
+        rows = evalkit.qr_ndcg_eval(g, n_queries=count, weighted_degree=cfg.weighted_degree, **shared)
+    else:
+        rows = evalkit.rec_eval(g, negatives=cfg.negatives, s_size=cfg.s_size, n_users=count, **shared)
+    emit_rows(rows, ["method", "k", "metric", "mean", "stddev", "n"], cfg.format, out)
     return EXIT_OK
 
 
@@ -549,8 +529,8 @@ def main(argv=None, out=None, err=None) -> int:
             "query": cmd_topk,
             "topk": cmd_topk,
             "bench": cmd_bench,
-            "eval-qr": cmd_eval_qr,
-            "eval-rec": cmd_eval_rec,
+            "eval-qr": cmd_eval,
+            "eval-rec": cmd_eval,
         }[cfg.command]
         return handler(cfg, out, err)
     except UsageError as exc:

@@ -13,11 +13,12 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .baselines import build_alias, mcsp_query
-from .bhpp_query import IndexMeta, bhpp_query, build_index_meta
+from .bhpp_query import bhpp_query, build_index_meta
 from .bigraph import BipartiteGraph, DataError
 from .csr import CsrView
 from .rng import substream
@@ -37,8 +38,6 @@ class EvalSplit:
     test: list[tuple[int, int, float]]
     candidates: dict[int, list[int]]
     side: str
-    holdout_ratio: float
-    seed: int
 
 
 @dataclass
@@ -140,7 +139,7 @@ def split_edges(
         else:
             sampled = []
         candidates[node] = positives + sampled
-    return EvalSplit(train, test, candidates, side, holdout_ratio, seed)
+    return EvalSplit(train, test, candidates, side)
 
 
 def desirability_row(g: BipartiteGraph, qi: int, weighted_degree: bool = False) -> np.ndarray:
@@ -242,16 +241,20 @@ def jaccard_rows(g: BipartiteGraph):
     return row
 
 
-def naive_ppr_rows(g: BipartiteGraph, alpha: float = 0.15, depth: int = 20):
-    """Row callable: truncated restart-walk scores on the raw bipartite
-    graph (single hops, both sides), restricted to the U side."""
+NAIVE_PPR_DEPTH = 20
+
+
+def naive_ppr_rows(g: BipartiteGraph, alpha: float = 0.15):
+    """Row callable: restart-walk scores truncated at NAIVE_PPR_DEPTH steps
+    on the raw bipartite graph (single hops, both sides), restricted to the
+    U side."""
 
     def row(ui: int) -> np.ndarray:
         base = np.zeros(g.u_count)
         base[ui] = 1.0
         on_u = base.copy()
         on_v = np.zeros(g.v_count)
-        for _ in range(depth):
+        for _ in range(NAIVE_PPR_DEPTH):
             new_v = (1.0 - alpha) * (g.v_adj @ (on_u / g.ws_u))
             on_u = base + (1.0 - alpha) * (g.u_adj @ (on_v / g.ws_v))
             on_v = new_v
@@ -263,16 +266,14 @@ def naive_ppr_rows(g: BipartiteGraph, alpha: float = 0.15, depth: int = 20):
 def similarity_rows(
     method: str,
     g: BipartiteGraph,
-    meta: IndexMeta | None = None,
     epsilon: float = 1e-5,
     alpha: float = 0.15,
-    p_f: float = 1e-6,
     seed: int = 0,
 ):
-    """Similarity row factory for the pipelines; rows are memoized."""
+    """Similarity row factory for the pipelines; rows are memoized. mcsp
+    walks with mcsp_query's default p_f."""
     if method == "ssbipush":
-        if meta is None:
-            meta = build_index_meta(g, alpha)
+        meta = build_index_meta(g, alpha)
 
         def fresh(ui: int) -> np.ndarray:
             return bhpp_query(g, meta, ui, epsilon).scores
@@ -281,7 +282,7 @@ def similarity_rows(
         alias = build_alias(g)
 
         def fresh(ui: int) -> np.ndarray:
-            return mcsp_query(g, alias, ui, alpha, epsilon, p_f, seed).scores
+            return mcsp_query(g, alias, ui, alpha, epsilon, seed=seed).scores
 
     elif method == "jaccard":
         fresh = jaccard_rows(g)
@@ -289,16 +290,7 @@ def similarity_rows(
         fresh = naive_ppr_rows(g, alpha)
     else:
         raise DataError(f"unknown similarity method: {method!r}")
-
-    cache: dict[int, np.ndarray] = {}
-
-    def row(ui: int) -> np.ndarray:
-        got = cache.get(ui)
-        if got is None:
-            got = cache[ui] = fresh(ui)
-        return got
-
-    return row
+    return cache(fresh)
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -319,6 +311,21 @@ def _map_ordered(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _study(train, items, judge, metrics, ks, methods, epsilon, alpha, seed, threads) -> list[dict]:
+    """One row per (method, k, metric): the mean, deviation and count over
+    items of judge(sim, item), which gives one tuple of metrics per k."""
+    rows = []
+    for method in methods:
+        sim = similarity_rows(method, train, epsilon, alpha, seed)
+        per_item = _map_ordered(lambda item: judge(sim, item), items, threads)
+        for i, k in enumerate(ks):
+            for j, metric in enumerate(metrics):
+                mean, std, count = _summarize([scores[i][j] for scores in per_item])
+                rows.append({"method": method, "k": k, "metric": metric,
+                             "mean": mean, "stddev": std, "n": count})
+    return rows
+
+
 def qr_ndcg_eval(
     g: BipartiteGraph,
     holdout_ratio: float = 0.2,
@@ -334,41 +341,20 @@ def qr_ndcg_eval(
     """Query-rewriting study: rank other queries by train-graph similarity,
     judge against full-graph desirability, report NDCG@k per method."""
     split = split_edges(g, holdout_ratio, seed, side="u", negatives=0)
-    rng = substream(seed, "qr-queries")
     n = min(n_queries, g.u_count)
-    queries = rng.choice(g.u_count, size=n, replace=False)
+    queries = substream(seed, "qr-queries").choice(g.u_count, size=n, replace=False).tolist()
 
     relevance_of = {}
-    for qi in queries.tolist():
+    for qi in queries:
         row = desirability_row(g, qi, weighted_degree).tolist()
         relevance_of[qi] = {qj: row[qj] for qj in range(g.u_count) if qj != qi}
 
-    rows = []
-    for method in methods:
-        sim = similarity_rows(method, split.train, epsilon=epsilon, alpha=alpha, seed=seed)
+    def judge(sim, qi: int) -> list[tuple[float]]:
+        order = np.argsort(-sim(qi), kind="stable")
+        judgment = RankedJudgment([int(x) for x in order if x != qi], relevance_of[qi])
+        return [(ndcg_at_k(judgment, k),) for k in ks]
 
-        def one_query(qi: int) -> list[float]:
-            score_row = sim(qi)
-            order = np.argsort(-score_row, kind="stable")
-            ranking = [int(x) for x in order if x != qi]
-            judgment = RankedJudgment(ranking, relevance_of[qi])
-            return [ndcg_at_k(judgment, k) for k in ks]
-
-        per_query = _map_ordered(one_query, queries.tolist(), threads)
-        per_k = {k: [row[i] for row in per_query] for i, k in enumerate(ks)}
-        for k in ks:
-            mean, std, count = _summarize(per_k[k])
-            rows.append(
-                {
-                    "method": method,
-                    "k": k,
-                    "metric": "ndcg",
-                    "mean": mean,
-                    "stddev": std,
-                    "n": count,
-                }
-            )
-    return rows
+    return _study(split.train, queries, judge, ("ndcg",), ks, methods, epsilon, alpha, seed, threads)
 
 
 def rec_eval(
@@ -388,46 +374,20 @@ def rec_eval(
     sampled non-edges by predicted score; report precision/recall@k."""
     split = split_edges(g, holdout_ratio, seed, side="v", negatives=negatives)
     users = sorted(split.candidates)
-    rng = substream(seed, "rec-users")
     if len(users) > n_users:
-        chosen = rng.choice(len(users), size=n_users, replace=False)
+        chosen = substream(seed, "rec-users").choice(len(users), size=n_users, replace=False)
         users = [users[i] for i in sorted(chosen.tolist())]
 
     positives_of = {}
     for u_node, v_node, _w in split.test:
-        node, item = (v_node, u_node) if split.side == "v" else (u_node, v_node)
-        positives_of.setdefault(node, set()).add(item)
+        positives_of.setdefault(v_node, set()).add(u_node)
 
-    rows = []
-    for method in methods:
-        sim = similarity_rows(method, split.train, epsilon=epsilon, alpha=alpha, seed=seed)
+    def judge(sim, user: int) -> list[tuple[float, float]]:
+        pool = split.candidates[user]
+        scored = [(predict_score(user, item, sim, s_size, split), item) for item in pool]
+        scored.sort(key=lambda t: (-t[0], t[1]))
+        ranked = [item for _s, item in scored]
+        return [precision_recall_at_k(ranked, positives_of[user], k) for k in ks]
 
-        def one_user(user: int) -> list[tuple[float, float]]:
-            pool = split.candidates[user]
-            scored = [(predict_score(user, item, sim, s_size, split), item) for item in pool]
-            scored.sort(key=lambda t: (-t[0], t[1]))
-            ranked = [item for _s, item in scored]
-            gt = positives_of.get(user, set())
-            return [precision_recall_at_k(ranked, gt, k) for k in ks]
-
-        per_user = _map_ordered(one_user, users, threads)
-        per_metric = {
-            (k, "precision"): [row[i][0] for row in per_user] for i, k in enumerate(ks)
-        }
-        per_metric.update(
-            {(k, "recall"): [row[i][1] for row in per_user] for i, k in enumerate(ks)}
-        )
-        for k in ks:
-            for metric in ("precision", "recall"):
-                mean, std, count = _summarize(per_metric[(k, metric)])
-                rows.append(
-                    {
-                        "method": method,
-                        "k": k,
-                        "metric": metric,
-                        "mean": mean,
-                        "stddev": std,
-                        "n": count,
-                    }
-                )
-    return rows
+    return _study(split.train, users, judge, ("precision", "recall"), ks, methods, epsilon, alpha,
+                  seed, threads)

@@ -119,21 +119,15 @@ class TestMonteCarlo:
         c = monte_carlo(g3, alias, 0, ALPHA, 0.1, 1e-3, seed=6)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_batch_size_does_not_change_result(self, g3):
-        # batches consume named substreams, so scheduling is irrelevant
-        alias = build_alias(g3)
-        a = monte_carlo(g3, alias, 0, ALPHA, 0.1, 1e-3, seed=7, batch_size=64)
-        b = monte_carlo(g3, alias, 0, ALPHA, 0.1, 1e-3, seed=7, batch_size=64)
-        np.testing.assert_array_equal(a, b)
+        # also across batches, each drawn from its own substream
+        assert mc_walk_count(0.01, 1e-3, g3.u_count) > baselines.WALK_BATCH
+        np.testing.assert_array_equal(monte_carlo(g3, alias, 0, ALPHA, 0.01, 1e-3, seed=7),
+                                      monte_carlo(g3, alias, 0, ALPHA, 0.01, 1e-3, seed=7))
 
     def test_deadline_raises(self, g3):
         alias = build_alias(g3)
         with pytest.raises(DeadlineExceeded):
-            monte_carlo(
-                g3, alias, 0, ALPHA, 0.001, 1e-6, seed=8,
-                batch_size=1024, deadline=time.perf_counter(),
-            )
+            monte_carlo(g3, alias, 0, ALPHA, 0.001, 1e-6, seed=8, deadline=time.perf_counter())
 
     def test_walk_cap_without_deadline(self, g3, monkeypatch):
         # eps 1e-6 asks for about 2.9e13 walks: refused up front, before any
@@ -149,7 +143,7 @@ class TestMonteCarlo:
             monte_carlo(g3, None, 0, ALPHA, 1e-6, 1e-6, seed=8)
         with pytest.raises(DeadlineExceeded):
             monte_carlo(g3, build_alias(g3), 0, ALPHA, 1e-6, 1e-6, seed=8,
-                        batch_size=1024, deadline=time.perf_counter() + 0.05)
+                        deadline=time.perf_counter() + 0.05)
 
     def test_rejects_bad_source(self, g3):
         alias = build_alias(g3)

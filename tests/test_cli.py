@@ -562,6 +562,13 @@ class TestConfigAndErrors:
         ("bench", "--queries", "0"),
         ("preprocess", "--alpha", "1.5"),
         ("preprocess", "--tau", "-1"),
+        # study options outside their range
+        ("eval-qr", "--alpha", "1.5", "--methods", "naive-ppr"),
+        ("eval-qr", "--alpha", "1.5", "--methods", "ssbipush"),
+        ("eval-rec", "--alpha", "0"),
+        ("eval-qr", "--holdout", "1.5"),
+        ("eval-rec", "--holdout", "1.5"),
+        ("eval-rec", "--negatives", "-1"),
     ], ids="".join)
     def test_value_the_library_rejects_is_usage_error(self, index_dir, tmp_path, argv):
         _, graph, idx, _ = index_dir
@@ -569,6 +576,8 @@ class TestConfigAndErrors:
             "preprocess": ("--graph", str(graph), "--out-dir", str(tmp_path / "idx")),
             "topk": ("--index", str(idx), "--query", "u0"),
             "bench": ("--index", str(idx), "--methods", "ssbipush,pisp"),
+            "eval-qr": ("--graph", str(graph), "--kcore", "2", "--queries", "4"),
+            "eval-rec": ("--graph", str(graph), "--kcore", "2", "--users", "4"),
         }[argv[0]]
         code, out, err = run_cli(*argv, *given)
         assert code == EXIT_USAGE

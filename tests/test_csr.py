@@ -167,33 +167,38 @@ def probe_report(tmp_path_factory):
     edges = tmp_path / "g.tsv"
     assert bipush.cli.main(["synth", "--u-count", "60", "--v-count", "50", "--edge-count", "400",
                             "--seed", "7", "--out", str(edges)], out=io.StringIO()) == 0
-    argvs = [
-        ["topk", "--index", str(tmp_path), "--query", "u1", "--k", "5"],
-        ["bench", "--index", str(tmp_path), "--methods", "ssbipush,pisp",
-         "--epsilons", "1e-3", "--queries", "3"],
-        ["eval-qr", "--graph", str(edges), "--methods", "jaccard,ssbipush,naive-ppr",
-         "--queries", "4", "--ks", "3"],
-    ]
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(heavy=HEAVY, unused=UNUSED, argvs=argvs)],
-                          capture_output=True, text=True, env=_child_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    study = ["--graph", str(edges), "--methods", "jaccard,ssbipush,naive-ppr", "--ks", "3"]
+    report = {}
+    # eval-rec runs in a process of its own, so what it loads is its own.
+    for argvs in (
+        [["topk", "--index", str(tmp_path), "--query", "u1", "--k", "5"],
+         ["bench", "--index", str(tmp_path), "--methods", "ssbipush,pisp",
+          "--epsilons", "1e-3", "--queries", "3"],
+         ["eval-qr", *study, "--queries", "4"]],
+        [["eval-rec", *study, "--kcore", "2", "--users", "4", "--negatives", "10"]],
+    ):
+        proc = subprocess.run([sys.executable, "-c", PROBE.format(heavy=HEAVY, unused=UNUSED, argvs=argvs)],
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report.update(json.loads(proc.stdout))
+    return report
 
 
 def test_cli_paths_never_import_scipy_sparse(probe_report):
     assert {cmd: row["heavy"] for cmd, row in probe_report.items()} == dict.fromkeys(
-        ("import", "topk", "bench", "eval-qr"), [])
+        ("import", "topk", "bench", "eval-qr", "eval-rec"), [])
     assert {cmd: (row["code"], row["stderr"]) for cmd, row in probe_report.items() if cmd != "import"} == (
-        dict.fromkeys(("topk", "bench", "eval-qr"), (0, "")))
+        dict.fromkeys(("topk", "bench", "eval-qr", "eval-rec"), (0, "")))
 
 
 def test_cold_commands_load_only_what_they_run(probe_report):
     # The package's evalkit and oracle names load on first use, and only a
-    # threaded bench starts a pool; eval-qr imports what it needs and runs.
+    # threaded bench starts a pool; each eval-* imports what it needs and runs.
     assert {cmd: probe_report[cmd]["unused"] for cmd in ("import", "topk", "bench")} == dict.fromkeys(
         ("import", "topk", "bench"), [])
-    assert probe_report["eval-qr"]["code"] == 0
-    assert "bipush.evalkit" in probe_report["eval-qr"]["unused"]
+    for cmd in ("eval-qr", "eval-rec"):
+        assert probe_report[cmd]["code"] == 0
+        assert "bipush.evalkit" in probe_report[cmd]["unused"]
 
 
 OPENBLAS_PROBE = """

@@ -1,5 +1,6 @@
 """Offline evaluation: splits, metrics, similarity plugs, pipelines."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -292,6 +293,14 @@ class TestSimilarityPlugs:
             similarity_rows("cosine", g3)
 
 
+STUDY_METHODS = ("ssbipush", "mcsp", "jaccard", "naive-ppr")
+
+
+def row_digest(rows):
+    """sha256 over repr of every row value, in row and column order."""
+    return hashlib.sha256(repr([list(r.values()) for r in rows]).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def corpus_graph():
     return synth_bipartite(60, 50, 400, (0.0, 5.0), seed=21)
@@ -357,3 +366,21 @@ class TestPipelines:
             seed=26,
         )
         assert rows[0]["mean"] > 0.0
+
+    # Golden pins over all four methods: a changed score, ranking, row order
+    # or last float bit changes the digest, with or without a thread pool.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("weighted_degree, want", [
+        (False, "8faf69c6824bf4f36a01b448e3e6a2b628ff4bcf0ac7cbd987d38bcc44ab525f"),
+        (True, "bae3f241f1459fb756496a82578d5d198324ddec62c21779b2c114e926ed5bd9"),
+    ])
+    def test_qr_values_are_pinned(self, corpus_graph, threads, weighted_degree, want):
+        rows = qr_ndcg_eval(corpus_graph, ks=(3, 10), n_queries=12, methods=STUDY_METHODS,
+                            epsilon=0.05, seed=27, weighted_degree=weighted_degree, threads=threads)
+        assert row_digest(rows) == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rec_values_are_pinned(self, corpus_graph, threads):
+        rows = rec_eval(corpus_graph, ks=(3, 10), negatives=15, s_size=8, n_users=10,
+                        methods=STUDY_METHODS, epsilon=0.05, seed=28, threads=threads)
+        assert row_digest(rows) == "5e83f9ab06be5830241636cbfd0f95a1da18d9d2ce1b536d52cfca72b3680d2c"
