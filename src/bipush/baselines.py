@@ -229,8 +229,6 @@ def _split_budget(method, g, query_u, alpha, epsilon, forward) -> QueryResult:
         query_index=q,
         scores=fwd + back.ledger.estimate,
         epsilon=epsilon,
-        epsilon_b=half,
-        epsilon_f=half,
         timing={"forward": t1 - t0, "backward": t2 - t1, "total": t2 - t0},
         phase_trace={
             "forward": fwd_trace,

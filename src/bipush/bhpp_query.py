@@ -61,8 +61,6 @@ class QueryResult:
     query_index: int
     scores: np.ndarray
     epsilon: float
-    epsilon_b: float
-    epsilon_f: float
     timing: dict
     phase_trace: dict
     u_labels: Sequence[str] | None = None
@@ -116,7 +114,7 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
     was built for a different graph, when the scores come out non-finite,
     and when the two certified bounds sum to more than epsilon, which only
     an epsilon near float64's rounding floor brings about; ValueError when
-    epsilon (or its half) is not positive and finite.
+    epsilon is not positive and finite.
     """
     meta.check_graph(g)
     q = resolve_query(g, query_u)
@@ -146,9 +144,7 @@ def bhpp_query(g: BipartiteGraph, meta: IndexMeta, query_u, epsilon: float, roun
         query_index=q,
         scores=scores,
         epsilon=epsilon,
-        epsilon_b=epsilon / 2.0,
-        epsilon_f=epsilon / 2.0,
-        timing={"backward": 0.0, "forward": t1 - t0, "total": t1 - t0},
+        timing={"forward": t1 - t0, "total": t1 - t0},
         phase_trace={"backward": backward, "forward": forward},
         u_labels=g.u_labels,
     )

@@ -659,46 +659,32 @@ def synth_bipartite(
             return rng.integers(0, count, size=n)
         return rng.choice(count, size=n, p=p)
 
+    keys = np.empty(0, dtype=np.int64)  # u * v_count + v of each edge, in draw order
+    seen = np.array([-1])  # the same keys sorted, after a sentinel below them all
+
+    def take(batch):
+        # Keep each first occurrence, in draw order, of a pair not drawn yet,
+        # up to edge_count pairs in all.
+        nonlocal keys, seen
+        fresh = batch[np.sort(np.unique(batch, return_index=True)[1])]
+        fresh = fresh[seen[np.searchsorted(seen, fresh, side="right") - 1] != fresh][: edge_count - keys.size]
+        keys = np.concatenate([keys, fresh])
+        seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
+
     m = max(u_count, v_count)
     us = np.concatenate([rng.permutation(u_count), draw(u_count, m - u_count, pu)])
     vs = np.concatenate([rng.permutation(v_count), draw(v_count, m - v_count, pv)])
     rng.shuffle(vs)
-
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    for a, b in zip(us.tolist(), vs.tolist()):
-        key = (a, b)
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-
-    need = edge_count - len(pairs)
-    if need > 0 and edge_count > (u_count * v_count) // 4:
+    take(us * v_count + vs)
+    if keys.size < edge_count and edge_count > (u_count * v_count) // 4:
         # Dense request: rejection sampling would crawl, enumerate cells instead.
-        for cell in rng.permutation(u_count * v_count).tolist():
-            key = (cell // v_count, cell % v_count)
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-                need -= 1
-                if need == 0:
-                    break
-    while need > 0:
-        n = max(2 * need, 256)
-        uu = draw(u_count, n, pu)
-        vv = draw(v_count, n, pv)
-        for a, b in zip(uu.tolist(), vv.tolist()):
-            key = (a, b)
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-                need -= 1
-                if need == 0:
-                    break
+        take(rng.permutation(u_count * v_count))
+    while keys.size < edge_count:
+        n = max(2 * (edge_count - keys.size), 256)
+        take(draw(u_count, n, pu) * v_count + draw(v_count, n, pv))  # U's draws first
 
     ew = hi - rng.random(edge_count) * (hi - lo)
-    eu = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=edge_count)
-    ev = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=edge_count)
+    eu, ev = np.divmod(keys, v_count)
     u_labels = [f"u{i}" for i in range(u_count)]
     v_labels = [f"v{i}" for i in range(v_count)]
     return BipartiteGraph(u_labels, v_labels, eu, ev, ew)

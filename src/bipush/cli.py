@@ -367,8 +367,6 @@ def _emit_trace(result, err) -> None:
         "method": result.method,
         "query_index": result.query_index,
         "epsilon": result.epsilon,
-        "epsilon_b": result.epsilon_b,
-        "epsilon_f": result.epsilon_f,
         "timing": result.timing,
         "phase_trace": result.phase_trace,
     }

@@ -129,15 +129,14 @@ def split_edges(
     neg_rng = substream(seed, "negatives", side)
     for node in np.flatnonzero(np.bincount(test_strat)).tolist():
         positives = sorted(int(x) for x in test_other[test_strat == node])
-        # assume_unique keeps pool's ascending order, which the draws index.
-        nbrs = strat_indices[strat_indptr[node] : strat_indptr[node + 1]]
-        eligible = np.setdiff1d(pool, nbrs, assume_unique=True)
-        if negatives and eligible.size:
-            take = min(negatives, eligible.size)
-            sampled = eligible[neg_rng.choice(eligible.size, size=take, replace=False)]
-            sampled = [int(x) for x in sampled]
-        else:
-            sampled = []
+        sampled = []
+        if negatives:
+            # assume_unique keeps pool's ascending order, which the draws index.
+            nbrs = strat_indices[strat_indptr[node] : strat_indptr[node + 1]]
+            eligible = np.setdiff1d(pool, nbrs, assume_unique=True)
+            if eligible.size:
+                take = min(negatives, eligible.size)
+                sampled = eligible[neg_rng.choice(eligible.size, size=take, replace=False)].tolist()
         candidates[node] = positives + sampled
     return EvalSplit(train, test, candidates, side)
 
@@ -200,14 +199,23 @@ def predict_score(v: int, ui: int, sim, s_size: int, split: EvalSplit) -> float:
     ascending index) and v's training neighbors, weighted by similarity;
     missing edges weigh zero, a zero denominator gives zero.
     """
+    return _predict(v, *_ranked_row(sim, ui, s_size, split.train), split.train)
+
+
+def _ranked_row(sim, ui: int, s_size: int, g: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """ui's similarity row and its s_size most similar peers, self excluded,
+    ties by ascending index."""
     if s_size < 0:
         raise ValueError("s_size must be nonnegative")
-    g = split.train
     row = np.asarray(sim(ui), dtype=np.float64)
     if row.shape != (g.u_count,):
         raise ValueError("similarity row length must match the U side")
     order = np.argsort(-row, kind="stable")
-    peers = order[order != ui][:s_size]
+    return row, order[order != ui][:s_size]
+
+
+def _predict(v: int, row: np.ndarray, peers: np.ndarray, g: BipartiteGraph) -> float:
+    """predict_score from a row and its peers, as _ranked_row gives them."""
     s, e = g.v_indptr[v], g.v_indptr[v + 1]
     rated = g.v_indices[s:e].astype(np.int64)
     weight_of = dict(zip(rated.tolist(), g.v_weights[s:e].tolist()))
@@ -382,9 +390,12 @@ def rec_eval(
     for u_node, v_node, _w in split.test:
         positives_of.setdefault(v_node, set()).add(u_node)
 
+    # Each item's row is ranked once per method, not once per (user, item) pair.
+    rank_row = cache(lambda sim, item: _ranked_row(sim, item, s_size, split.train))
+
     def judge(sim, user: int) -> list[tuple[float, float]]:
         pool = split.candidates[user]
-        scored = [(predict_score(user, item, sim, s_size, split), item) for item in pool]
+        scored = [(_predict(user, *rank_row(sim, item), split.train), item) for item in pool]
         scored.sort(key=lambda t: (-t[0], t[1]))
         ranked = [item for _s, item in scored]
         return [precision_recall_at_k(ranked, positives_of[user], k) for k in ks]

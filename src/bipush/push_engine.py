@@ -90,16 +90,16 @@ boundary prices the finish at tau: its a-priori depth is the smallest k
 with tau^k (1-alpha) (min(sum x, ws_max w) + ws(u) w) <= eps, w being the
 width (max r - min r) / ws(u), so depth 0 is the bracket exit. Before each
 round pi_push switches once the last round's n_p exceeded 2|E| times the
-drop in that depth, or once the depth is zero, at entry included (the
-trace's switched_by is "cost"). That rule alone bounds the pushing. A
-round runs only at a positive depth and pushes at least one edge, and the
-next one runs only if that n_p was at most 2|E| times the drop in depth,
-so each round that another follows lowers the depth by at least 1. Hence
-there are at most d0 rounds, d0 being the depth priced at entry. A round
-pushes each node at most once, so it costs at most 2|E|, and n_p is at
-most 2|E| (d0 + 1). At entry x is the unit vector at u and the width is
-1 / ws(u), so d0 <= ceil(log_{1/tau}(2 (1-alpha) / (tau eps))); with the
-finish's cap the work is O(|E| log 1/eps), the order of the paper's bound.
+drop in that depth, or once the depth is zero, at entry included. That
+rule alone bounds the pushing. A round runs only at a positive depth and
+pushes at least one edge, and the next one runs only if that n_p was at
+most 2|E| times the drop in depth, so each round that another follows
+lowers the depth by at least 1. Hence there are at most d0 rounds, d0
+being the depth priced at entry. A round pushes each node at most once,
+so it costs at most 2|E|, and n_p is at most 2|E| (d0 + 1). At entry x is
+the unit vector at u and the width is 1 / ws(u), so
+d0 <= ceil(log_{1/tau}(2 (1-alpha) / (tau eps))); with the finish's cap
+the work is O(|E| log 1/eps), the order of the paper's bound.
 
 Cost model: every push adds the pushed node's degree to n_p, and the
 kernels' actual work is proportional to n_p. Rounds run over the whole
@@ -228,12 +228,7 @@ def selective_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=
         raise ValueError("epsilon_b must be positive")
     led = ResidueLedger.initial(g, target_u)
     rounds, _ = _rounds(g, led, alpha, epsilon_b, epsilon_b, "selective", round_hook)
-    trace = {
-        "selective_rounds": rounds,
-        "sequential_rounds": 0,
-        "power_iterations": 0,
-        "n_p": led.n_p,
-    }
+    trace = {"selective_rounds": rounds, "sequential_rounds": 0, "n_p": led.n_p}
     return PushOutcome(led, trace, "threshold-met")
 
 
@@ -271,7 +266,6 @@ def ss_push(g, target_u: int, alpha: float, epsilon_b: float, round_hook=None) -
     trace = {
         "selective_rounds": sel_rounds,
         "sequential_rounds": seq_rounds,
-        "power_iterations": 0,
         "residue_bound": float(led.residue_u.max()),
         "n_p": led.n_p,
     }
@@ -288,19 +282,19 @@ def pi_push(g, source_u: int, alpha: float, epsilon: float, round_hook=None) -> 
     trace's residue_bound certifies the forward scores (0 <= true - score
     <= residue_bound) and its backward_bound the backward ones read off
     them: they are the halves of what the finish left uncertain, and
-    power_tail_bound, their sum, is at most epsilon. switched_by is "cost",
-    the one switch rule, and tail_floor is the lo of the bracket whose
-    lower end the scores were credited: that of x / ws when the bracket at
-    the switch certifies the tail with no step, and min rho / ws of the
-    final residual rho, which may be negative, otherwise. power_iterations
-    counts the conjugate-gradient steps run and depth_cap the step by which
-    exact arithmetic certifies (0 when none ran). The finish returns
-    whatever bound it certified, which rounding can leave above an epsilon
-    near the float64 floor; bhpp_query refuses such a query.
+    power_tail_bound, their sum, is at most epsilon. tail_floor is the lo
+    of the bracket whose lower end the scores were credited: that of x / ws
+    when the bracket at the switch certifies the tail with no step, and
+    min rho / ws of the final residual rho, which may be negative,
+    otherwise. power_iterations counts the conjugate-gradient steps run and
+    depth_cap the step by which exact arithmetic certifies (0 when none
+    ran). The finish returns whatever bound it certified, which rounding
+    can leave above an epsilon near the float64 floor; bhpp_query refuses
+    such a query.
     """
     _check_alpha(alpha)
-    if not 0.0 < epsilon / 2.0 < math.inf:
-        raise ValueError("epsilon must be positive and finite, and so must its half")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     led = ResidueLedger.initial(g, source_u)
 
     ws = g.ws_u
@@ -362,7 +356,6 @@ def pi_push(g, source_u: int, alpha: float, epsilon: float, round_hook=None) -> 
         scores = np.maximum(scores + y, 0.0)
     trace = {
         "selective_rounds": rounds,
-        "sequential_rounds": 0,
         "power_iterations": steps,
         "depth_cap": cap,
         "power_tail_bound": fwd_tail + back_tail,
@@ -370,7 +363,6 @@ def pi_push(g, source_u: int, alpha: float, epsilon: float, round_hook=None) -> 
         "residue_bound": fwd_tail,
         "backward_bound": back_tail,
         "n_p": led.n_p,
-        "switched_by": "cost",
     }
     return PushOutcome(led, trace, "budget-switch", scores=scores)
 

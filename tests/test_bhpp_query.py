@@ -154,8 +154,6 @@ class TestBhppQuery:
         assert diff.max() <= eps + 1e-12
         back, fwd = res.phase_trace["backward"], res.phase_trace["forward"]
         assert back["residue_bound"] + fwd["residue_bound"] <= res.epsilon
-        if fwd["terminated_by"] == "budget-switch":
-            assert fwd["switched_by"] == "cost"
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,10 +192,11 @@ class TestBhppQuery:
         assert diff.max() <= eps + 1e-12
         assert fwd["residue_bound"] + back["residue_bound"] <= eps
 
-    @pytest.mark.parametrize("eps", [1e-20, 1e-200, 1e-310])
+    @pytest.mark.parametrize("eps", [1e-20, 1e-200, 1e-310, 5e-324])
     def test_epsilon_below_rounding_is_data_error(self, eps):
         # Rounding stops this graph's finish near 1e-19; a query asked for
-        # less refuses instead of answering with a bound above epsilon.
+        # less refuses instead of answering with a bound above epsilon, down
+        # to the smallest subnormal, which the kernel takes whole.
         g = synth_bipartite(40, 30, 240, seed=5)
         with pytest.raises(DataError, match=rf"^query 'u0' is certified only to \S+, above epsilon {eps:g}: "):
             bhpp_query(g, build_index_meta(g), "u0", eps)
@@ -227,17 +226,15 @@ class TestBhppQuery:
         meta = build_index_meta(g)
         res = bhpp_query(g, meta, 0, 1e-3)
         assert res.method == "ssbipush"
-        assert set(res.timing) == {"backward", "forward", "total"}
-        assert res.timing["total"] >= 0.0
+        # one kernel runs, timed as the forward phase
+        assert set(res.timing) == {"forward", "total"}
+        assert res.timing["total"] == res.timing["forward"] >= 0.0
         for side in ("backward", "forward"):
             tr = res.phase_trace[side]
             assert "terminated_by" in tr and "n_p" in tr
-        assert res.epsilon_b == res.epsilon_f == res.epsilon / 2
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, 5e-324])
-    def test_epsilon_without_two_positive_shares_rejected(self, eps):
-        # the smallest subnormal has a zero half, which no threshold can
-        # certify; the push kernel refuses it
+    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    def test_nonpositive_epsilon_rejected(self, eps):
         g = synth_bipartite(15, 15, 60, seed=14)
         with pytest.raises(ValueError, match="must be positive"):
             bhpp_query(g, build_index_meta(g), 0, eps)
@@ -297,18 +294,17 @@ class TestBhppQuery:
             assert t1 == t2
 
 
-# sha256 over the scores, phase_trace and (epsilon_b, epsilon_f) of the
-# bhpp_query answers in TestBitIdentity, and over the scores and phase_trace
-# of pisp_query on the same queries. A change that moves any of them re-pins
-# its value and says why in CHANGES.md.
-PINNED_DIGEST = "c48891a312a23ff49a2693f6ba40b088e73572691faa2d18a3bd8d9dfdf71f36"
-PINNED_PISP_DIGEST = "ca8f6735c06449a35b869d59ce76c24c5c42fc695578b7824c140d2d16292b95"
+# sha256 over the scores and phase_trace of the bhpp_query answers in
+# TestBitIdentity, and over those of pisp_query on the same queries. A change
+# that moves any of them re-pins its value and says why in CHANGES.md.
+PINNED_DIGEST = "a1ba9890b9081d1a743488693bb651d2690a1b4fba5db7f6f2d30f904e10347d"
+PINNED_PISP_DIGEST = "093d5ff6eddb0d979435a536efe408688a8beb01eb0cfca0bb144ffd8473ea64"
 
 
 # sha256 over the scores and phase_trace of bhpp_query on a graph with two
 # components, the trace's tail_floor left out. A change that moves it
 # re-pins its value and says why in CHANGES.md.
-PINNED_TWO_COMPONENT_DIGEST = "6c9b6ad7e8236ed3bdaf3c97c21a925c9837ef8708cb0143f3cb965b14114279"
+PINNED_TWO_COMPONENT_DIGEST = "fd45be4878229aaec82222d70759f693c053187f206b58c8b5c4e44620f26a29"
 
 
 def _disjoint_union(graphs):
@@ -342,14 +338,12 @@ def _pinned_queries():
 
 
 class TestBitIdentity:
-    def test_scores_traces_and_split_are_pinned(self):
-        # every query exits by the cost rule
+    def test_scores_and_traces_are_pinned(self):
         h = hashlib.sha256()
         for g, meta, q, eps in _pinned_queries():
             r = bhpp_query(g, meta, q, eps)
             h.update(r.scores.tobytes())
             h.update(json.dumps(r.phase_trace, sort_keys=True).encode())
-            h.update(repr((r.epsilon_b, r.epsilon_f)).encode())
         assert h.hexdigest() == PINNED_DIGEST
 
     def test_floor_is_zero_on_a_graph_with_two_components(self):
@@ -409,8 +403,6 @@ class TestTopk:
             query_index=0,
             scores=np.array([0.5, 0.25, 0.25, 0.25]),
             epsilon=1e-3,
-            epsilon_b=5e-4,
-            epsilon_f=5e-4,
             timing={},
             phase_trace={},
             u_labels=["a", "b", "c", "d"],
@@ -432,7 +424,7 @@ class TestTopk:
         n = scores.size
         k = data.draw(st.integers(1, n + 2))
         q = data.draw(st.integers(0, n - 1))
-        res = QueryResult("x", q, scores, 1e-3, 5e-4, 5e-4, {}, {}, None)
+        res = QueryResult("x", q, scores, 1e-3, {}, {}, None)
         order = np.argsort(-scores, kind="stable")
         if exclude_query:
             order = order[order != q]

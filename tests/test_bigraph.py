@@ -983,6 +983,56 @@ class TestSynth:
         b = synth_bipartite(50, 40, 300, seed=2)
         assert a.fingerprint != b.fingerprint
 
+    @staticmethod
+    def _set_based(u_count, v_count, edge_count, weight_range, degree_skew, seed):
+        """The generator's draws deduplicated pair by pair through a set, in
+        the order they are drawn."""
+        rng = np.random.default_rng(seed)
+        p = {}
+        if degree_skew is not None:
+            for n in (u_count, v_count):
+                p[n] = (np.arange(n) + 1.0) ** (-degree_skew)
+                p[n] /= p[n].sum()
+
+        def draw(count, n):
+            return rng.integers(0, count, size=n) if degree_skew is None else rng.choice(count, size=n, p=p[count])
+
+        m = max(u_count, v_count)
+        us = np.concatenate([rng.permutation(u_count), draw(u_count, m - u_count)])
+        vs = np.concatenate([rng.permutation(v_count), draw(v_count, m - v_count)])
+        rng.shuffle(vs)
+        pairs = {}  # insertion-ordered
+
+        def take(batch):
+            for pair in batch:
+                if len(pairs) < edge_count:
+                    pairs.setdefault(pair, None)
+
+        take(zip(us.tolist(), vs.tolist()))
+        if len(pairs) < edge_count and edge_count > (u_count * v_count) // 4:
+            take(divmod(c, v_count) for c in rng.permutation(u_count * v_count).tolist())
+        while len(pairs) < edge_count:
+            n = max(2 * (edge_count - len(pairs)), 256)
+            take(zip(draw(u_count, n).tolist(), draw(v_count, n).tolist()))
+        lo, hi = weight_range
+        ew = hi - rng.random(edge_count) * (hi - lo)
+        eu, ev = np.array(list(pairs)).T
+        return BipartiteGraph([f"u{i}" for i in range(u_count)], [f"v{i}" for i in range(v_count)], eu, ev, ew)
+
+    @pytest.mark.parametrize("shape", [
+        (50, 40, 300, (0.0, 5.0), 1.0, 0),
+        (300, 300, 1200, (0.0, 10.0), 1.2, 0),
+        (400, 300, 4000, (0.0, 10.0), None, 21),
+        (10, 10, 100, (0.0, 1.0), None, 0),
+        (7, 3, 15, (0.0, 1.0), None, 1),
+        (20, 12, 100, (1.0, 2.0), 2.0, 4),
+        (1, 5, 5, (0.0, 1.0), None, 0),
+    ], ids=str)
+    def test_matches_set_based_deduplication(self, shape):
+        # the batched dedup keeps the same pairs in the same order and makes
+        # the same draws, sparse, skewed and dense requests alike
+        assert synth_bipartite(*shape).to_bytes() == self._set_based(*shape).to_bytes()
+
     def test_dense_request_is_exactly_filled(self):
         g = synth_bipartite(6, 5, 30, seed=3)
         assert g.edge_count == 30  # complete bipartite graph

@@ -16,8 +16,10 @@ from bipush.cli import (
     EXIT_OK,
     EXIT_TIMEOUT,
     EXIT_USAGE,
+    METHODS,
     main,
 )
+from test_perfbench_contract import worker  # noqa: F401  (perfbench's worker, a fixture)
 
 
 def run_cli(*argv):
@@ -163,8 +165,34 @@ class TestQueryTopk:
         assert fwd["tail_floor"] >= 0.0 or fwd["power_iterations"] > 0
         assert fwd["residue_bound"] >= 0.0 and back["residue_bound"] >= 0.0
         assert fwd["residue_bound"] + back["residue_bound"] <= trace["epsilon"]
-        if fwd["terminated_by"] == "budget-switch":
-            assert fwd["switched_by"] == "cost"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_verbose_record_keys_are_pinned(self, index_dir, worker, method):
+        # The record is output: a key that comes or goes changes it. ssbipush
+        # runs one kernel, timed and traced as its forward phase, with the
+        # backward phase's bound read off it; a baseline runs both halves.
+        _, _, idx, _ = index_dir
+        code, _, err = run_cli("topk", "--index", str(idx), "--query", "u1", "--epsilon", "0.05",
+                               "--method", method, "--seed", "9", "--verbose")
+        assert code == EXIT_OK, err
+        record = json.loads(err)
+        backward = {"selective_rounds", "sequential_rounds", "n_p", "terminated_by"}
+        timing, forward = {
+            "ssbipush": ({"forward", "total"},
+                         {"selective_rounds", "power_iterations", "depth_cap", "power_tail_bound",
+                          "tail_floor", "residue_bound", "n_p", "terminated_by"}),
+            "pisp": ({"forward", "backward", "total"}, {"power_iterations"}),
+            "mcsp": ({"forward", "backward", "total"}, {"n_walks"}),
+        }[method]
+        if method == "ssbipush":
+            backward.add("residue_bound")
+        assert set(record) == {"method", "query_index", "epsilon", "timing", "phase_trace"}
+        assert set(record["timing"]) == timing
+        assert set(record["phase_trace"]) == {"forward", "backward"}
+        assert set(record["phase_trace"]["forward"]) == forward
+        assert set(record["phase_trace"]["backward"]) == backward
+        # perfbench reads its per-query counts off the same trace
+        assert worker.counts_of(method, record["phase_trace"])
 
     @pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
     @pytest.mark.parametrize("method", ["ssbipush", "pisp", "mcsp"])
@@ -556,7 +584,7 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv", [
         ("topk", "--k", "0"),
         ("topk", "--epsilon", "0"),
-        ("topk", "--epsilon", "5e-324"),  # its half rounds to zero
+        ("topk", "--method", "pisp", "--epsilon", "5e-324"),  # its half rounds to zero
         ("topk", "--method", "mcsp", "--p-f", "0"),
         ("bench", "--epsilons", "0"),
         ("bench", "--queries", "0"),
@@ -708,10 +736,11 @@ class TestConfigAndErrors:
         scores = [float(line.split("\t")[1]) for line in out.splitlines()]
         assert len(scores) == 10 and all(math.isfinite(s) for s in scores)
 
-    @pytest.mark.parametrize("eps", ["1e-20", "1e-200", "1e-310"])
+    @pytest.mark.parametrize("eps", ["1e-20", "1e-200", "1e-310", "5e-324"])
     def test_epsilon_below_rounding_is_data_error(self, index_dir, eps):
         # ssbipush certifies its bound; where rounding keeps it above
-        # epsilon, the query is refused, not answered uncertified
+        # epsilon, the query is refused, not answered uncertified, down to
+        # the smallest subnormal, which it does not halve
         _, _, idx, _ = index_dir
         code, out, err = run_cli("topk", "--index", str(idx), "--query", "u0", "--epsilon", eps)
         assert code == EXIT_DATA

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bipush.evalkit as evalkit
 from bipush import (
     BipartiteGraph,
     DataError,
@@ -156,6 +157,21 @@ class TestSplitEdges:
             picks = rng.choice(len(eligible), size=min(20, len(eligible)), replace=False)
             expect[node] = sorted(held[node]) + [eligible[i] for i in picks]
         assert split.candidates == expect
+
+    def test_no_negatives_builds_no_pool(self, monkeypatch):
+        # eval-qr splits with no negatives: the pools are the held-out
+        # positives alone, and no node's eligible set is ever computed
+        g = k_core_filter(synth_bipartite(300, 250, 3000, (0.0, 10.0), seed=5), 2)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("setdiff1d called with no negatives to draw")
+
+        monkeypatch.setattr(np, "setdiff1d", refused)
+        split = split_edges(g, 0.2, seed=5, side="u", negatives=0)
+        held = {}
+        for a, b, _ in split.test:
+            held.setdefault(a, []).append(b)
+        assert split.candidates == {node: sorted(items) for node, items in held.items()}
 
     def test_v_side_stratification(self):
         rng = np.random.default_rng(9)
@@ -353,6 +369,23 @@ class TestPipelines:
         serial = rec_eval(corpus_graph, threads=1, **kw)
         pooled = rec_eval(corpus_graph, threads=3, **kw)
         assert serial == pooled
+
+    def test_rec_ranks_each_item_once_per_method(self, corpus_graph, monkeypatch):
+        # predict_score's peers come from a sort of the item's whole row;
+        # the study sorts each item's row once per method, not once for
+        # every user whose pool holds the item
+        real = evalkit._ranked_row
+        calls = []
+
+        def counted(sim, ui, s_size, g):
+            calls.append((sim, ui))
+            return real(sim, ui, s_size, g)
+
+        monkeypatch.setattr(evalkit, "_ranked_row", counted)
+        rec_eval(corpus_graph, ks=(3,), negatives=15, s_size=8, n_users=10,
+                 methods=("jaccard", "naive-ppr"), seed=28)
+        assert calls and len(calls) == len(set(calls))
+        assert len({sim for sim, _ in calls}) == 2
 
     def test_push_scores_flow_through_pipeline(self, corpus_graph):
         # scores from the push engine must be usable end to end

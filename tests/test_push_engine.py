@@ -400,8 +400,8 @@ class TestPiPush:
                 trace = out.phase_trace
                 assert trace["residue_bound"] + trace["backward_bound"] <= eps
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-3, 5e-324, float("nan"), float("inf")])
-    def test_epsilon_without_a_positive_finite_half_rejected(self, g3, eps):
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_epsilon_not_positive_and_finite_rejected(self, g3, eps):
         with pytest.raises(ValueError, match="must be positive"):
             pi_push(g3, 0, ALPHA, eps)
 
@@ -427,7 +427,6 @@ class TestPiPush:
         # graph seven rounds do at a loose epsilon
         out = pi_push(graph, src, ALPHA, eps)
         trace = out.phase_trace
-        assert trace["switched_by"] == "cost"
         assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (rounds, 0, 0)
         assert out.ledger.n_p == n_p
         assert trace["residue_bound"] + trace["backward_bound"] <= eps
@@ -444,7 +443,6 @@ class TestPiPush:
                       round_hook=lambda ph, r, led: phases.append(ph))
         trace = out.phase_trace
         assert phases == [] and out.ledger.n_p == 0
-        assert trace["switched_by"] == "cost"
         assert (trace["selective_rounds"], trace["power_iterations"]) == (0, 0)
         np.testing.assert_array_equal(np.flatnonzero(out.scores), [0])
         assert out.scores[0] == ALPHA
@@ -458,7 +456,7 @@ class TestPiPush:
         src, eps = 30, 1e-4
         out = pi_push(g, src, ALPHA, eps)
         trace = out.phase_trace
-        assert out.terminated_by == "budget-switch" and trace["switched_by"] == "cost"
+        assert out.terminated_by == "budget-switch"
         assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"]) == (1, 10, 18)
         check_finish(g, src, eps, out)
         self._check(g, src, out)
@@ -475,12 +473,11 @@ class TestPiPush:
         # entry, and the finish after them is certified as any other.
         g = heavy_pendant_graph()
         trace = pi_push(g, 1, ALPHA, 1e-3).phase_trace
-        assert (trace["selective_rounds"], trace["power_iterations"], trace["switched_by"]) == (2, 2, "cost")
+        assert (trace["selective_rounds"], trace["power_iterations"]) == (2, 2)
         monkeypatch.setattr(pe, "_cg_rate", lambda alpha: 1.0 - alpha)
         out = pi_push(g, 1, ALPHA, 1e-3)
         trace = out.phase_trace
         d0 = entry_depth(g, 1, 1e-3)
-        assert trace["switched_by"] == "cost"
         assert (trace["selective_rounds"], trace["power_iterations"], trace["depth_cap"], d0) == (8, 2, 117, 46)
         assert trace["selective_rounds"] <= d0
         assert out.ledger.n_p == 401 <= 2 * g.edge_count * (d0 + 1)
@@ -498,7 +495,7 @@ class TestPiPush:
         eps = 1e-4
         out = pi_push(g, 6, ALPHA, eps)
         trace = out.phase_trace
-        assert (trace["selective_rounds"], trace["power_iterations"], trace["switched_by"]) == (1, 11, "cost")
+        assert (trace["selective_rounds"], trace["power_iterations"]) == (1, 11)
         assert out.ledger.n_p == 82
         check_finish(g, 6, eps, out)
         self._check(g, 6, out)
@@ -550,7 +547,6 @@ class TestPiPush:
         mass = float((g.ws_u / g.ws_u[src] * r).sum())
         assert trace["power_iterations"] <= required_iterations(ALPHA, eps, mass + float(r.max()))
         assert 0.0 <= trace["power_tail_bound"] <= eps
-        assert trace["switched_by"] == "cost"
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -580,7 +576,6 @@ class TestPiPush:
         # the kernel's first priced depth is the one the test computes
         assert depths[0] == d0
         trace = out.phase_trace
-        assert trace["switched_by"] == "cost"
         assert trace["selective_rounds"] <= d0
         assert out.ledger.n_p <= 2 * g.edge_count * (d0 + 1)
         tau = pe._cg_rate(ALPHA)
@@ -793,7 +788,6 @@ class TestLoopContract:
                 assert rounds == list(range(1, out.phase_trace[key] + 1))
             assert {ph for ph, _, _ in calls} <= set(phases)
             assert out.phase_trace["selective_rounds"] > 0
-        assert out.phase_trace["switched_by"] == "cost"
 
         calls = []
 
@@ -805,7 +799,6 @@ class TestLoopContract:
         # the bracket of the unit residue certifies an epsilon of 2: the
         # switch rule fires at entry, and the finish runs no step
         out = pi_push(skew, 3, ALPHA, 2.0, round_hook=hook)
-        assert out.phase_trace["switched_by"] == "cost"
         assert out.phase_trace["selective_rounds"] == out.phase_trace["power_iterations"] == 0
         assert out.ledger.n_p == 0
         np.testing.assert_array_equal(np.flatnonzero(out.scores), [3])
