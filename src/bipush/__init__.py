@@ -50,7 +50,6 @@ __all__ = [
     "BipartiteGraph",
     "DataError",
     "DeadlineExceeded",
-    "DenseHpp",
     "EvalSplit",
     "IndexMeta",
     "PushOutcome",
@@ -61,9 +60,6 @@ __all__ = [
     "build_alias",
     "build_index_meta",
     "desirability",
-    "exact_bhpp",
-    "exact_hpp",
-    "exact_hpp_solve",
     "jaccard_rows",
     "k_core_filter",
     "load_edge_list",
@@ -92,32 +88,26 @@ __all__ = [
 ]
 
 # Only the `eval-*` commands and the tests use these, so a cold command never
-# imports their modules: each name loads on first use (PEP 562).
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "EvalSplit",
-            "RankedJudgment",
-            "desirability",
-            "jaccard_rows",
-            "naive_ppr_rows",
-            "ndcg_at_k",
-            "precision_recall_at_k",
-            "predict_score",
-            "qr_ndcg_eval",
-            "rec_eval",
-            "similarity_rows",
-            "split_edges",
-        ),
-        "evalkit",
-    ),
-    **dict.fromkeys(("DenseHpp", "exact_bhpp", "exact_hpp", "exact_hpp_solve"), "oracle"),
-}
+# imports evalkit: each name loads on first use (PEP 562).
+_LAZY = (
+    "EvalSplit",
+    "RankedJudgment",
+    "desirability",
+    "jaccard_rows",
+    "naive_ppr_rows",
+    "ndcg_at_k",
+    "precision_recall_at_k",
+    "predict_score",
+    "qr_ndcg_eval",
+    "rec_eval",
+    "similarity_rows",
+    "split_edges",
+)
 
 
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    value = getattr(import_module(".evalkit", __name__), name)
     globals()[name] = value
     return value

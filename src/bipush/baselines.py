@@ -79,8 +79,8 @@ def _build_side(indptr, weights, count) -> tuple[np.ndarray, np.ndarray]:
 
 def build_alias(g: BipartiteGraph) -> AliasTables:
     """Alias tables for weight-proportional neighbor sampling on both sides."""
-    u_prob, u_alias = _build_side(g.u_indptr, g.u_weights, g.u_count)
-    v_prob, v_alias = _build_side(g.v_indptr, g.v_weights, g.v_count)
+    u_prob, u_alias = _build_side(g.u_adj.indptr, g.u_adj.data, g.u_count)
+    v_prob, v_alias = _build_side(g.v_adj.indptr, g.v_adj.data, g.v_count)
     return AliasTables(u_prob, u_alias, v_prob, v_alias)
 
 
@@ -107,14 +107,15 @@ def mc_walk_count(epsilon_f: float, p_f: float, u_count: int) -> int:
     return max(1, math.ceil(raw))
 
 
-def _hop(prob, alias, indptr, indices, deg, cur, rng):
-    """One weight-proportional neighbor draw for every walk in cur."""
+def _hop(prob, alias, adj, deg, cur, rng):
+    """One weight-proportional neighbor draw for every walk in cur, along
+    the rows of the side's CSR `adj`."""
     d = deg[cur]
     slot = (rng.random(cur.size) * d).astype(np.int64)  # < d since draws are < 1
-    pos = indptr[cur] + slot
+    pos = adj.indptr[cur] + slot
     hit = rng.random(cur.size) < prob[pos]
-    pos = np.where(hit, pos, indptr[cur] + alias[pos])
-    return indices[pos].astype(np.int64)
+    pos = np.where(hit, pos, adj.indptr[cur] + alias[pos])
+    return adj.indices[pos].astype(np.int64)
 
 
 def monte_carlo(
@@ -166,8 +167,8 @@ def monte_carlo(
             cur = cur[~stopping]
             if cur.size == 0:
                 break
-            mid = _hop(alias.u_prob, alias.u_alias, g.u_indptr, g.u_indices, g.deg_u, cur, gen)
-            cur = _hop(alias.v_prob, alias.v_alias, g.v_indptr, g.v_indices, g.deg_v, mid, gen)
+            mid = _hop(alias.u_prob, alias.u_alias, g.u_adj, g.deg_u, cur, gen)
+            cur = _hop(alias.v_prob, alias.v_alias, g.v_adj, g.deg_v, mid, gen)
         done += n
         batch_index += 1
     return counts / n_walks

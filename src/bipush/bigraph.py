@@ -7,14 +7,14 @@ weight, lands on a V-node, and immediately hops back to U the same way. The
 resulting one-side transition matrix over U (each entry a sum over shared
 neighbors) is never materialized.
 
-Every kernel runs on two raw-weight matrices, one per side, that share the
-side's CSR arrays: `u_adj` (|U|x|V|) and `v_adj` (|V|x|U|), both with entry
-w(u, v). They are `csr.CsrView`s, not scipy matrices: thin read-only views
-whose `@` calls scipy's compiled CSR mat-vec, so no kernel imports
-`scipy.sparse`. No normalized copy of the weights is stored; the kernels
-divide by the receivers' weight sums when they push. `v_adj @ (x / ws_u)`
-carries a distribution x on U one hop to V and `u_adj @ (y / ws_v)` carries
-y on V back to U.
+Each side is held once, as a raw-weight CSR matrix: `u_adj` (|U|x|V|) and
+`v_adj` (|V|x|U|), both with entry w(u, v). They are `csr.CsrView`s, not
+scipy matrices: thin read-only views whose `@` calls scipy's compiled CSR
+mat-vec, so no kernel imports `scipy.sparse`. Whatever walks a side's rows
+reads that view's `indptr`, `indices` and `data`. No normalized copy of
+the weights is stored; the kernels divide by the receivers' weight sums
+when they push. `v_adj @ (x / ws_u)` carries a distribution x on U one hop
+to V and `u_adj @ (y / ws_v)` carries y on V back to U.
 
 Node labels stay UTF-8 bytes in one blob per graph, U labels then V labels,
 as the cache stores them. Each side reads it through a `LabelTable`, which
@@ -149,15 +149,15 @@ class BipartiteGraph:
             `LabelTable`. Both tables read one UTF-8 blob, U labels then V
             labels, a view into the cache buffer. `u_id` and `v_id` find a
             label's index.
-        u_indptr, u_indices, u_weights: U-side CSR (neighbors are V indices,
-            each row sorted by neighbor index), views into the cache buffer.
-        v_indptr, v_indices, v_weights: V-side CSR (neighbors are U indices).
+        u_adj, v_adj: each side's raw-weight CSR as a `CsrView` (|U|x|V|
+            and |V|x|U|; a row's neighbors are sorted by index). `u_adj`'s
+            indices and weights are views into the cache buffer; `v_adj` is
+            its transpose, built eagerly.
+        v_indices, v_weights: `v_adj.indices` and `v_adj.data`, the same
+            objects.
         ws_u, ws_v: per-node incident weight sums (always positive).
-        deg_u, deg_v: per-node neighbor counts (always at least 1).
-        u_adj, v_adj: raw-weight `CsrView`s (|U|x|V| and |V|x|U|) that
-            share each side's indices and weights; their `indptr` is a copy
-            of the side's offsets in int32 (int64 past 2**31 - 1 edges).
-            Built eagerly.
+        deg_u, deg_v: per-node neighbor counts (always at least 1), in the
+            views' index dtype.
     """
 
     def __init__(self, u_labels, v_labels, edge_u, edge_v, edge_w):
@@ -194,12 +194,12 @@ class BipartiteGraph:
 
         Layout (little endian): a 32-byte header of magic "BPGR", u32
         version, u64 u_count, u64 v_count and u64 edge_count; then
-        f8 u_weights[edge_count], i8 u_indptr[u_count+1],
-        i8 label_offsets[u_count+v_count+1], i4 u_indices[edge_count], and
-        one UTF-8 blob holding the U labels then the V labels. Label i is
-        blob[label_offsets[i]:label_offsets[i+1]]. Every array starts at a
-        multiple of its item size, so it is viewed in place. Only the U side
-        is stored; the V side is derived here.
+        the U side's CSR f8 weights[edge_count] and i8 indptr[u_count+1],
+        i8 label_offsets[u_count+v_count+1], the CSR's i4
+        indices[edge_count], and one UTF-8 blob holding the U labels then
+        the V labels. Label i is blob[label_offsets[i]:label_offsets[i+1]].
+        Every array starts at a multiple of its item size, so it is viewed
+        in place. Only the U side is stored; the V side is derived here.
 
         Both `__init__` and `from_bytes` end here, and the buffer is trusted
         for nothing: canonical row order, no repeated pair, indices in
@@ -260,26 +260,18 @@ class BipartiteGraph:
         self.u_labels = LabelTable(blob, offsets[:u_count + 1], u_order)
         self.v_labels = LabelTable(blob, offsets[u_count:], v_order)
 
-        self.u_indptr = _frozen(indptr)
-        self.u_indices = _frozen(indices)
-        self.u_weights = _frozen(weights)
-        self.deg_u = _frozen(np.diff(indptr))
-        if (self.deg_u == 0).any():
-            i = int(np.flatnonzero(self.deg_u == 0)[0])
-            raise DataError(f"isolated node on U side: {self.u_labels[i]!r}")
-
         # The V side is the U side's CSC. The counting sort keeps each
         # column's rows in ascending order, so it comes out canonical too.
-        self.u_adj = CsrView(self.u_weights, self.u_indices, self.u_indptr,
-                             (self.u_count, self.v_count))
+        self.u_adj = CsrView(weights, indices, indptr, (u_count, v_count))
         self.v_adj = self.u_adj.transpose()
-        self.v_indptr = _frozen(self.v_adj.indptr.astype(np.int64))
-        self.v_indices = _frozen(self.v_adj.indices.astype(np.int32, copy=False))
-        self.v_weights = self.v_adj.data
-        self.deg_v = _frozen(np.diff(self.v_indptr))
-        if (self.deg_v == 0).any():
-            i = int(np.flatnonzero(self.deg_v == 0)[0])
-            raise DataError(f"isolated node on V side: {self.v_labels[i]!r}")
+        # perfbench's resident_bytes finds the V side here; these go with ROADMAP item 1.
+        self.v_indices, self.v_weights = self.v_adj.indices, self.v_adj.data
+        self.deg_u = _frozen(np.diff(self.u_adj.indptr))
+        self.deg_v = _frozen(np.diff(self.v_adj.indptr))
+        for side, deg, labels in (("U", self.deg_u, self.u_labels), ("V", self.deg_v, self.v_labels)):
+            if (deg == 0).any():
+                i = int(np.flatnonzero(deg == 0)[0])
+                raise DataError(f"isolated node on {side} side: {labels[i]!r}")
 
         # `csr_matvec` adds each row's terms left to right from 0.0, and
         # w * 1.0 is exact, so each sum is bit for bit what `np.bincount`
@@ -595,9 +587,10 @@ def k_core_filter(g: BipartiteGraph, k: int) -> BipartiteGraph:
     # Peel in rounds: the nodes a round drops take one degree from each
     # neighbor per shared edge, so every edge is counted off once and a long
     # chain of rounds never rescans the whole graph.
+    u, v = g.u_adj, g.v_adj
     while drop_u.size or drop_v.size:
-        deg_v -= np.bincount(g.u_indices[row_slots(g.u_indptr, drop_u, g.deg_u)], minlength=g.v_count)
-        deg_u -= np.bincount(g.v_indices[row_slots(g.v_indptr, drop_v, g.deg_v)], minlength=g.u_count)
+        deg_v -= np.bincount(u.indices[row_slots(u.indptr, drop_u, g.deg_u)], minlength=g.v_count)
+        deg_u -= np.bincount(v.indices[row_slots(v.indptr, drop_v, g.deg_v)], minlength=g.u_count)
         drop_u = np.flatnonzero(keep_u & (deg_u < k))
         drop_v = np.flatnonzero(keep_v & (deg_v < k))
         keep_u[drop_u] = False
@@ -608,11 +601,11 @@ def k_core_filter(g: BipartiteGraph, k: int) -> BipartiteGraph:
     new_u = np.cumsum(keep_u) - 1
     new_v = np.cumsum(keep_v) - 1
     eu = np.repeat(np.arange(g.u_count), g.deg_u)
-    ev = g.u_indices
+    ev = u.indices
     ok = keep_u[eu] & keep_v[ev]
     u_labels = [lab for lab, kp in zip(g.u_labels, keep_u) if kp]
     v_labels = [lab for lab, kp in zip(g.v_labels, keep_v) if kp]
-    return BipartiteGraph(u_labels, v_labels, new_u[eu[ok]], new_v[ev[ok]], g.u_weights[ok])
+    return BipartiteGraph(u_labels, v_labels, new_u[eu[ok]], new_v[ev[ok]], u.data[ok])
 
 
 def synth_bipartite(

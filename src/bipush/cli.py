@@ -292,12 +292,10 @@ def cmd_synth(cfg, out, err) -> int:
     u_labels, v_labels = list(g.u_labels), list(g.v_labels)
     with open(cfg.out, "w", encoding="utf-8") as fh:
         fh.write("# synthetic bipartite graph\n")
+        u = g.u_adj
         for ui in range(g.u_count):
-            for slot in range(g.u_indptr[ui], g.u_indptr[ui + 1]):
-                fh.write(
-                    f"{u_labels[ui]}\t{v_labels[g.u_indices[slot]]}\t"
-                    f"{float(g.u_weights[slot])!r}\n"
-                )
+            for slot in range(u.indptr[ui], u.indptr[ui + 1]):
+                fh.write(f"{u_labels[ui]}\t{v_labels[u.indices[slot]]}\t{float(u.data[slot])!r}\n")
     for key, value in (
         ("path", cfg.out),
         ("u_count", g.u_count),

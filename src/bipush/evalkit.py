@@ -74,17 +74,17 @@ def split_edges(
         raise DataError("negatives must be nonnegative")
 
     eu = np.repeat(np.arange(g.u_count, dtype=np.int64), g.deg_u)
-    ev = g.u_indices.astype(np.int64)
-    ew = g.u_weights
+    ev = g.u_adj.indices.astype(np.int64)
+    ew = g.u_adj.data
 
     if side == "u":
         strat_deg, strat_of = g.deg_u, eu
         other_deg, other_of = g.deg_v, ev
-        n_strat, strat_indptr, strat_indices = g.u_count, g.u_indptr, g.u_indices
+        n_strat, strat = g.u_count, g.u_adj
     else:
         strat_deg, strat_of = g.deg_v, ev
         other_deg, other_of = g.deg_u, eu
-        n_strat, strat_indptr, strat_indices = g.v_count, g.v_indptr, g.v_indices
+        n_strat, strat = g.v_count, g.v_adj
     if (strat_deg < 2).any():
         i = int(np.flatnonzero(strat_deg < 2)[0])
         lab = (g.u_labels if side == "u" else g.v_labels)[i]
@@ -132,7 +132,7 @@ def split_edges(
         sampled = []
         if negatives:
             # assume_unique keeps pool's ascending order, which the draws index.
-            nbrs = strat_indices[strat_indptr[node] : strat_indptr[node + 1]]
+            nbrs = strat.indices[strat.indptr[node] : strat.indptr[node + 1]]
             eligible = np.setdiff1d(pool, nbrs, assume_unique=True)
             if eligible.size:
                 take = min(negatives, eligible.size)
@@ -147,9 +147,10 @@ def desirability_row(g: BipartiteGraph, qi: int, weighted_degree: bool = False) 
     Entry qj sums qj's edge weights to neighbors shared with qi, divided by
     qj's neighbor count (or weight sum with weighted_degree=True).
     """
+    u = g.u_adj
     mark = np.zeros(g.v_count)
-    mark[g.u_indices[g.u_indptr[qi] : g.u_indptr[qi + 1]]] = 1.0
-    return (g.u_adj @ mark) / (g.ws_u if weighted_degree else g.deg_u)
+    mark[u.indices[u.indptr[qi] : u.indptr[qi + 1]]] = 1.0
+    return (u @ mark) / (g.ws_u if weighted_degree else g.deg_u)
 
 
 def desirability(g: BipartiteGraph, qi: int, qj: int, weighted_degree: bool = False) -> float:
@@ -199,7 +200,7 @@ def predict_score(v: int, ui: int, sim, s_size: int, split: EvalSplit) -> float:
     ascending index) and v's training neighbors, weighted by similarity;
     missing edges weigh zero, a zero denominator gives zero.
     """
-    return _predict(v, *_ranked_row(sim, ui, s_size, split.train), split.train)
+    return _predict(*_ranked_row(sim, ui, s_size, split.train), *_rated(v, split.train))
 
 
 def _ranked_row(sim, ui: int, s_size: int, g: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -214,12 +215,18 @@ def _ranked_row(sim, ui: int, s_size: int, g: BipartiteGraph) -> tuple[np.ndarra
     return row, order[order != ui][:s_size]
 
 
-def _predict(v: int, row: np.ndarray, peers: np.ndarray, g: BipartiteGraph) -> float:
-    """predict_score from a row and its peers, as _ranked_row gives them."""
-    s, e = g.v_indptr[v], g.v_indptr[v + 1]
-    rated = g.v_indices[s:e].astype(np.int64)
-    weight_of = dict(zip(rated.tolist(), g.v_weights[s:e].tolist()))
-    pool = set(peers.tolist()) | set(rated.tolist())
+def _rated(v: int, g: BipartiteGraph) -> tuple[set, dict]:
+    """v's neighbors in g, as a set and mapped to their edge weights."""
+    v_adj = g.v_adj
+    s, e = v_adj.indptr[v], v_adj.indptr[v + 1]
+    rated = v_adj.indices[s:e].tolist()
+    return set(rated), dict(zip(rated, v_adj.data[s:e].tolist()))
+
+
+def _predict(row: np.ndarray, peers: np.ndarray, rated: set, weight_of: dict) -> float:
+    """predict_score from a row and its peers, as _ranked_row gives them,
+    and the other-side node's neighbors, as _rated gives them."""
+    pool = set(peers.tolist()) | rated
     num = 0.0
     den = 0.0
     for uj in pool:
@@ -237,11 +244,12 @@ def jaccard_rows(g: BipartiteGraph):
 
     The shared-neighbor counts are the 0/1 adjacency times ui's neighbor
     indicator, as in desirability_row."""
-    binary = CsrView(np.ones(g.edge_count), g.u_indices, g.u_indptr, (g.u_count, g.v_count))
+    u = g.u_adj
+    binary = CsrView(np.ones(g.edge_count), u.indices, u.indptr, u.shape)
 
     def row(ui: int) -> np.ndarray:
         mark = np.zeros(g.v_count)
-        mark[g.u_indices[g.u_indptr[ui] : g.u_indptr[ui + 1]]] = 1.0
+        mark[u.indices[u.indptr[ui] : u.indptr[ui + 1]]] = 1.0
         inter = binary @ mark
         union = g.deg_u[ui] + g.deg_u - inter
         return inter / union
@@ -395,7 +403,8 @@ def rec_eval(
 
     def judge(sim, user: int) -> list[tuple[float, float]]:
         pool = split.candidates[user]
-        scored = [(_predict(user, *rank_row(sim, item), split.train), item) for item in pool]
+        rated = _rated(user, split.train)
+        scored = [(_predict(*rank_row(sim, item), *rated), item) for item in pool]
         scored.sort(key=lambda t: (-t[0], t[1]))
         ranked = [item for _s, item in scored]
         return [precision_recall_at_k(ranked, positives_of[user], k) for k in ks]

@@ -84,6 +84,5 @@ def random_bigraph(
 def scipy_adj(g: BipartiteGraph, side: str = "u") -> sp.csr_matrix:
     """One side's raw-weight matrix as a scipy CSR matrix, built from the
     graph's own arrays: |U|x|V| for side "u", |V|x|U| for side "v"."""
-    if side == "u":
-        return sp.csr_matrix((g.u_weights, g.u_indices, g.u_indptr), shape=(g.u_count, g.v_count))
-    return sp.csr_matrix((g.v_weights, g.v_indices, g.v_indptr), shape=(g.v_count, g.u_count))
+    view = g.u_adj if side == "u" else g.v_adj
+    return sp.csr_matrix((view.data, view.indices, view.indptr), shape=view.shape)

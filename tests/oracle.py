@@ -2,8 +2,8 @@
 
 Materializes the full U-to-U transition matrix (forbidden for the real
 kernels, fine for a reference) and evaluates the restart-walk series to a
-requested truncation tolerance. Intended for tests and diagnostics on small
-graphs; refuses anything wider than the configured cap.
+requested truncation tolerance. A test helper for small graphs; refuses
+anything wider than the configured cap.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .bigraph import BipartiteGraph, DataError
+from bipush import BipartiteGraph, DataError
+from conftest import scipy_adj
 
 
 @dataclass(frozen=True)
@@ -29,12 +31,8 @@ class DenseHpp:
 def _transition(g: BipartiteGraph) -> np.ndarray:
     """Dense U-to-U transition diag(1/ws_u) U_raw diag(1/ws_v) V_raw: the
     U->V step times the V->U step, built from the raw weights alone."""
-    import scipy.sparse as sp  # only here, to keep it off the CLI's imports
-
-    u_adj = sp.csr_matrix((g.u_weights, g.u_indices, g.u_indptr), shape=(g.u_count, g.v_count))
-    v_adj = sp.csr_matrix((g.v_weights, g.v_indices, g.v_indptr), shape=(g.v_count, g.u_count))
-    u_step = sp.diags(1.0 / g.ws_u) @ u_adj
-    v_step = sp.diags(1.0 / g.ws_v) @ v_adj
+    u_step = sp.diags(1.0 / g.ws_u) @ scipy_adj(g, "u")
+    v_step = sp.diags(1.0 / g.ws_v) @ scipy_adj(g, "v")
     return (u_step @ v_step).toarray()
 
 

@@ -16,8 +16,6 @@ from bipush import (
     build_alias,
     build_index_meta,
     desirability,
-    exact_bhpp,
-    exact_hpp,
     mcsp_query,
     monte_carlo,
     ndcg_at_k,
@@ -35,6 +33,7 @@ from bipush import (
 )
 from bipush.bigraph import BipartiteGraph, k_core_filter
 from conftest import random_bigraph
+from oracle import exact_bhpp, exact_hpp
 
 ALPHA = 0.15
 CORPUS_SIZE = 200
@@ -296,10 +295,10 @@ def test_criterion_11_evaluation_self_consistency(query_rng):
     worst_d, worst_p = 0.0, 0.0
     for i in range(50):
         g = random_bigraph(rng, int(rng.integers(8, 25)), int(rng.integers(8, 25)), 4.0)
-        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
+        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_adj.indptr))
         nbr: dict[int, set] = {}
         wt: dict[tuple, float] = {}
-        for a, b, w in zip(eu.tolist(), g.u_indices.tolist(), g.u_weights.tolist()):
+        for a, b, w in zip(eu.tolist(), g.u_adj.indices.tolist(), g.u_adj.data.tolist()):
             nbr.setdefault(int(a), set()).add(int(b))
             wt[(int(a), int(b))] = float(w)
         qi, qj = (int(x) for x in rng.integers(0, g.u_count, size=2))
@@ -323,8 +322,8 @@ def test_criterion_11_evaluation_self_consistency(query_rng):
         order = np.argsort(-row, kind="stable")
         peers = [x for x in order.tolist() if x != ui][:4]
         tr = split.train
-        s, e = tr.v_indptr[v], tr.v_indptr[v + 1]
-        rated = dict(zip(tr.v_indices[s:e].tolist(), tr.v_weights[s:e].tolist()))
+        s, e = tr.v_adj.indptr[v], tr.v_adj.indptr[v + 1]
+        rated = dict(zip(tr.v_adj.indices[s:e].tolist(), tr.v_adj.data[s:e].tolist()))
         pool = set(peers) | set(rated)
         num = sum(row[x] * rated.get(x, 0.0) for x in pool)
         den = sum(row[x] for x in pool)

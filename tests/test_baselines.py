@@ -12,8 +12,6 @@ from bipush import (
     build_alias,
     build_index_meta,
     bhpp_query,
-    exact_bhpp,
-    exact_hpp,
     mc_walk_count,
     mcsp_query,
     monte_carlo,
@@ -21,6 +19,7 @@ from bipush import (
     synth_bipartite,
 )
 from conftest import random_bigraph
+from oracle import exact_bhpp, exact_hpp
 
 ALPHA = 0.15
 
@@ -82,8 +81,8 @@ class TestAliasTables:
         g = random_bigraph(rng, 8, 40, 20.0)
         alias = build_alias(g)
         row = int(np.argmax(g.deg_u))
-        lo, hi = g.u_indptr[row], g.u_indptr[row + 1]
-        weights = g.u_weights[lo:hi]
+        lo, hi = g.u_adj.indptr[row], g.u_adj.indptr[row + 1]
+        weights = g.u_adj.data[lo:hi]
         n = 200_000
         slots = (rng.random(n) * (hi - lo)).astype(np.int64)
         pos = lo + slots

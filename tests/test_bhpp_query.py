@@ -16,9 +16,6 @@ from bipush import (
     IndexMeta,
     bhpp_query,
     build_index_meta,
-    exact_bhpp,
-    exact_hpp,
-    exact_hpp_solve,
     load_meta,
     pi_push,
     pisp_query,
@@ -27,6 +24,7 @@ from bipush import (
     topk,
 )
 from conftest import random_bigraph
+from oracle import exact_bhpp, exact_hpp, exact_hpp_solve
 
 ALPHA = 0.15
 
@@ -140,9 +138,9 @@ class TestBhppQuery:
         u_count, v_count = (int(n) for n in rng.integers(5, 80, 2))
         edges = int(rng.integers(max(u_count, v_count), min(u_count * v_count, 4 * max(u_count, v_count)) + 1))
         g = synth_bipartite(u_count, v_count, edges, (1.0, 10.0), float(rng.uniform(1.0, 2.5)), seed)
-        w = g.u_weights * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
+        w = g.u_adj.data * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
         try:
-            g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_indices, w)
+            g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_adj.indices, w)
         except DataError:
             assume(False)  # a weight-sum ratio past the float64 range
         q = {"hub": int(np.argmax(g.deg_u)), "lightest": int(np.argmin(g.ws_u)),
@@ -176,9 +174,9 @@ class TestBhppQuery:
                             seed + k)
             for k, (u, v) in enumerate(rng.integers(4, 40, (parts, 2)))
         ])
-        w = g.u_weights * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
+        w = g.u_adj.data * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
         try:
-            g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_indices, w)
+            g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_adj.indices, w)
         except DataError:
             assume(False)  # a weight-sum ratio past the float64 range
         q = int(np.argmax(g.deg_u)) if at == "hub" else int(rng.integers(0, g.u_count))
@@ -313,8 +311,8 @@ def _disjoint_union(graphs):
     u_labels, v_labels, eu, ev, w = [], [], [], [], []
     for k, g in enumerate(graphs):
         eu.append(np.repeat(np.arange(g.u_count), g.deg_u) + len(u_labels))
-        ev.append(g.u_indices + len(v_labels))
-        w.append(g.u_weights)
+        ev.append(g.u_adj.indices + len(v_labels))
+        w.append(g.u_adj.data)
         u_labels += [f"{k}.{label}" for label in g.u_labels]
         v_labels += [f"{k}.{label}" for label in g.v_labels]
     return BipartiteGraph(u_labels, v_labels, np.concatenate(eu), np.concatenate(ev), np.concatenate(w))
@@ -324,8 +322,8 @@ def _two_component_graph():
     """The uniform graph of _pinned_queries plus one isolated edge."""
     g = synth_bipartite(400, 300, 4000, (0.0, 10.0), seed=21)
     eu = np.append(np.repeat(np.arange(g.u_count), g.deg_u), g.u_count)
-    ev = np.append(g.u_indices, g.v_count)
-    return BipartiteGraph([*g.u_labels, "iso"], [*g.v_labels, "iso_v"], eu, ev, np.append(g.u_weights, 1.0))
+    ev = np.append(g.u_adj.indices, g.v_count)
+    return BipartiteGraph([*g.u_labels, "iso"], [*g.v_labels, "iso_v"], eu, ev, np.append(g.u_adj.data, 1.0))
 
 
 def _pinned_queries():

@@ -29,22 +29,30 @@ from bipush.csr import CsrView
 from conftest import random_bigraph, scipy_adj
 
 
+def held_arrays(g: BipartiteGraph) -> dict[str, np.ndarray]:
+    """Every array a graph holds, by name: each side's view's three, then
+    the per-node ones."""
+    views = {f"{side}_adj.{part}": getattr(getattr(g, f"{side}_adj"), part)
+             for side in "uv" for part in ("indptr", "indices", "data")}
+    return views | {name: getattr(g, name) for name in ("ws_u", "ws_v", "deg_u", "deg_v")}
+
+
 def hidden_transition_entry(g: BipartiteGraph, ui: int, uj: int) -> float:
     """One entry of the implicit U-to-U two-hop transition matrix: over the
     V nodes adjacent to both ui and uj, the probability of stepping
     ui -> v -> uj with both hops weight-proportional."""
-    a0, a1 = g.u_indptr[ui], g.u_indptr[ui + 1]
-    b0, b1 = g.u_indptr[uj], g.u_indptr[uj + 1]
+    a0, a1 = g.u_adj.indptr[ui], g.u_adj.indptr[ui + 1]
+    b0, b1 = g.u_adj.indptr[uj], g.u_adj.indptr[uj + 1]
     total = 0.0
     i, j = a0, b0
     while i < a1 and j < b1:
-        vi, vj = g.u_indices[i], g.u_indices[j]
+        vi, vj = g.u_adj.indices[i], g.u_adj.indices[j]
         if vi < vj:
             i += 1
         elif vi > vj:
             j += 1
         else:
-            total += (g.u_weights[i] / g.ws_u[ui]) * (g.u_weights[j] / g.ws_v[vi])
+            total += (g.u_adj.data[i] / g.ws_u[ui]) * (g.u_adj.data[j] / g.ws_v[vi])
             i += 1
             j += 1
     return float(total)
@@ -99,14 +107,14 @@ class TestConstruction:
     def test_edge_order_does_not_change_the_graph(self):
         rng = np.random.default_rng(5)
         g = random_bigraph(rng, 20, 15, 4.0)
-        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
+        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_adj.indptr))
         perm = rng.permutation(g.edge_count)
         shuffled = BipartiteGraph(
             list(g.u_labels),
             list(g.v_labels),
             eu[perm],
-            g.u_indices[perm],
-            g.u_weights[perm],
+            g.u_adj.indices[perm],
+            g.u_adj.data[perm],
         )
         assert shuffled.fingerprint == g.fingerprint
 
@@ -129,10 +137,10 @@ class TestConstruction:
         eu = np.repeat(np.arange(shape.u_count), shape.deg_u)
         w = 10.0 ** rng.uniform(-150.0, 150.0, shape.edge_count)
         w[[0, -1]] = 1e-150, 1e150
-        g = BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_indices, w)
+        g = BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_adj.indices, w)
         for h in (g, BipartiteGraph.from_bytes(g.to_bytes())):
-            for ws, rows, n in ((h.ws_u, eu, h.u_count), (h.ws_v, h.u_indices, h.v_count)):
-                expect = np.bincount(rows, weights=h.u_weights, minlength=n)
+            for ws, rows, n in ((h.ws_u, eu, h.u_count), (h.ws_v, h.u_adj.indices, h.v_count)):
+                expect = np.bincount(rows, weights=h.u_adj.data, minlength=n)
                 assert ws.dtype == expect.dtype and ws.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("triples", [
@@ -193,25 +201,33 @@ class TestDerivedMatrices:
         rng = np.random.default_rng(15)
         g = random_bigraph(rng, 30, 25, 4.0)
         eu = np.repeat(np.arange(g.u_count), g.deg_u)
-        order = np.lexsort((eu, g.u_indices))
-        expect_indptr = np.concatenate(([0], np.cumsum(np.bincount(g.u_indices))))
+        order = np.lexsort((eu, g.u_adj.indices))
+        expect_indptr = np.concatenate(([0], np.cumsum(np.bincount(g.u_adj.indices)))).astype(np.int32)
         for got, expect in (
-            (g.v_indptr, expect_indptr),
-            (g.v_indices, eu[order].astype(np.int32)),
-            (g.v_weights, g.u_weights[order]),
+            (g.v_adj.indptr, expect_indptr),
+            (g.v_adj.indices, eu[order].astype(np.int32)),
+            (g.v_adj.data, g.u_adj.data[order]),
         ):
             assert got.dtype == expect.dtype
             assert got.tobytes() == expect.tobytes()
 
-    def test_matrices_reuse_the_graph_arrays(self):
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_each_side_is_held_once_as_its_view(self, loaded):
+        # The views are the graph's only per-side arrays: no raw copy of a
+        # side beside them, degrees in the views' index dtype, and the U
+        # side's weights and indices read in place from the cache buffer.
         rng = np.random.default_rng(14)
         g = random_bigraph(rng, 25, 20, 4.0)
-        assert np.shares_memory(g.u_adj.data, g.u_weights)
-        assert np.shares_memory(g.v_adj.data, g.v_weights)
-        assert np.shares_memory(g.u_adj.indices, g.u_indices)
-        assert np.shares_memory(g.v_adj.indices, g.v_indices)
-        np.testing.assert_array_equal(g.u_adj.indptr, g.u_indptr)
-        np.testing.assert_array_equal(g.v_adj.indptr, g.v_indptr)
+        if loaded:
+            g = BipartiteGraph.from_bytes(g.to_bytes())
+        names = {name for name, value in vars(g).items() if isinstance(value, np.ndarray)}
+        assert names == {"ws_u", "ws_v", "deg_u", "deg_v", "v_indices", "v_weights"}
+        assert {name for name, value in vars(g).items() if isinstance(value, CsrView)} == {"u_adj", "v_adj"}
+        assert g.v_indices is g.v_adj.indices and g.v_weights is g.v_adj.data
+        assert g.deg_u.dtype == g.u_adj.indptr.dtype == np.int32
+        assert g.deg_v.dtype == g.v_adj.indptr.dtype == np.int32
+        buf = np.frombuffer(g._buf, np.uint8)
+        assert np.shares_memory(g.u_adj.data, buf) and np.shares_memory(g.u_adj.indices, buf)
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
     def test_only_two_edge_length_float_buffers(self, loaded):
@@ -235,7 +251,7 @@ class TestDerivedMatrices:
             id(root(a)) for a in arrays
             if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.size == g.edge_count
         }
-        assert buffers == {id(root(g.u_weights)), id(root(g.v_weights))}
+        assert buffers == {id(root(g.u_adj.data)), id(root(g.v_adj.data))}
 
     def test_hidden_transition_matches_dense_product(self, g3):
         u_step = scipy_adj(g3, "u").toarray() / g3.ws_u[:, None]
@@ -267,9 +283,9 @@ class TestSerialization:
         h = BipartiteGraph.from_bytes(g.to_bytes())
         assert h.u_labels == g.u_labels
         assert h.v_labels == g.v_labels
-        np.testing.assert_array_equal(h.u_indptr, g.u_indptr)
-        np.testing.assert_array_equal(h.u_indices, g.u_indices)
-        np.testing.assert_array_equal(h.u_weights, g.u_weights)
+        np.testing.assert_array_equal(h.u_adj.indptr, g.u_adj.indptr)
+        np.testing.assert_array_equal(h.u_adj.indices, g.u_adj.indices)
+        np.testing.assert_array_equal(h.u_adj.data, g.u_adj.data)
         assert h.fingerprint == g.fingerprint
 
     def test_save_load_file(self, tmp_path, g3):
@@ -296,7 +312,7 @@ class TestSerialization:
         assert set(vars(g3)) - {"fingerprint"} == set(vars(h)) - {"fingerprint"}
         data = np.frombuffer(buf, np.uint8)
         for g in (g3, h):
-            for a in (g.u_weights, g.u_indptr, g.u_indices, g.u_labels.offsets):
+            for a in (g.u_adj.data, g.u_adj.indices, g.u_labels.offsets):
                 assert np.shares_memory(a, data) and not a.flags.writeable
 
     def test_bad_magic_rejected(self, g2):
@@ -342,8 +358,8 @@ class TestSerialization:
             names[:u_count],
             names[u_count:],
             np.repeat(np.arange(shape.u_count), shape.deg_u),
-            shape.u_indices,
-            shape.u_weights,
+            shape.u_adj.indices,
+            shape.u_adj.data,
         )
         buf = g.to_bytes()
         h = BipartiteGraph.from_bytes(buf)
@@ -352,13 +368,10 @@ class TestSerialization:
         assert [h.u_id(x) for x in names[:u_count]] == [g.u_id(x) for x in names[:u_count]] == list(range(u_count))
         assert [h.v_id(x) for x in names[u_count:]] == [g.v_id(x) for x in names[u_count:]] == list(
             range(len(names) - u_count))
-        for name in (
-            "u_indptr", "u_indices", "u_weights", "v_indptr", "v_indices",
-            "v_weights", "ws_u", "ws_v", "deg_u", "deg_v",
-        ):
-            a, b = getattr(h, name), getattr(g, name)
-            assert a.dtype == b.dtype, name
-            assert a.tobytes() == b.tobytes(), name
+        expect = held_arrays(g)
+        for name, a in held_arrays(h).items():
+            assert a.dtype == expect[name].dtype, name
+            assert a.tobytes() == expect[name].tobytes(), name
 
     def test_fingerprint_hashes_the_loaded_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(22)
@@ -487,32 +500,31 @@ class TestSerialization:
         shape = random_bigraph(rng, int(rng.integers(1, 15)), int(rng.integers(1, 15)), 3.0)
         eu = np.repeat(np.arange(shape.u_count), shape.deg_u)
         w = 10.0 ** rng.uniform(-8.0, 8.0, shape.edge_count)
-        g = BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_indices, w)
+        g = BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_adj.indices, w)
         buf = g.to_bytes()
         with mock.patch.object(bigraph, "_BLOCK", block):
             graphs = [
                 BipartiteGraph.from_bytes(buf),
-                BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_indices, w),
+                BipartiteGraph(shape.u_labels, shape.v_labels, eu, shape.u_adj.indices, w),
             ]
         expect = dict(
-            ws_u=np.bincount(eu, weights=g.u_weights, minlength=g.u_count),
-            ws_v=np.bincount(g.u_indices, weights=g.u_weights, minlength=g.v_count),
-            deg_v=np.bincount(g.u_indices, minlength=g.v_count),
+            ws_u=np.bincount(eu, weights=g.u_adj.data, minlength=g.u_count),
+            ws_v=np.bincount(g.u_adj.indices, weights=g.u_adj.data, minlength=g.v_count),
+            deg_v=np.bincount(g.u_adj.indices, minlength=g.v_count).astype(g.v_adj.indptr.dtype),
         )
         for h in graphs:
-            for name in ("u_indptr", "u_indices", "u_weights", "v_indptr", "v_indices",
-                         "v_weights", "ws_u", "ws_v", "deg_u", "deg_v"):
-                a, b = getattr(h, name), getattr(g, name)
+            for name, a in held_arrays(h).items():
+                b = held_arrays(g)[name]
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
                 if name in expect:
                     assert a.tobytes() == expect[name].tobytes(), name
 
-        inner = np.setdiff1d(np.arange(1, g.edge_count), g.u_indptr)
+        inner = np.setdiff1d(np.arange(1, g.edge_count), g.u_adj.indptr)
         if inner.size:
             at = int(rng.choice(inner))
-            indices = g.u_indices.copy()
+            indices = g.u_adj.indices.copy()
             indices[at] = indices[at - 1]
-            bad = _v2_cache(g.u_labels, g.v_labels, g.u_indptr, indices, g.u_weights)
+            bad = _v2_cache(g.u_labels, g.v_labels, g.u_adj.indptr, indices, g.u_adj.data)
             with mock.patch.object(bigraph, "_BLOCK", block), pytest.raises(DataError, match=self.UNSORTED):
                 BipartiteGraph.from_bytes(bad)
 
@@ -561,7 +573,7 @@ class TestBuildMemory:
         monkeypatch.setattr(BipartiteGraph, "_load", traced)
         for g in graphs:
             BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u),
-                           g.u_indices, g.u_weights)
+                           g.u_adj.indices, g.u_adj.data)
         self.assert_flat(extra, graphs)
 
     def test_load_keeps_no_object_per_label(self):
@@ -591,7 +603,7 @@ class TestBuildMemory:
         u_labels = [*(long + c for c in "abc"), *(f"u{i}" for i in range(3, 3000))]
         v_labels = [long + "é", *(f"v{i}" for i in range(1, 3000))]
         buf = BipartiteGraph(u_labels, v_labels, np.repeat(np.arange(3000), shape.deg_u),
-                             shape.u_indices, shape.u_weights).to_bytes()
+                             shape.u_adj.indices, shape.u_adj.data).to_bytes()
         tracemalloc.start()
         try:
             g = BipartiteGraph.from_bytes(buf)
@@ -806,8 +818,8 @@ class TestLabelTable:
 
     def test_a_table_builds_the_same_graph_as_its_list(self, g):
         eu = np.repeat(np.arange(g.u_count), g.deg_u)
-        a = BipartiteGraph(g.u_labels, g.v_labels, eu, g.u_indices, g.u_weights)
-        b = BipartiteGraph(list(g.u_labels), list(g.v_labels), eu, g.u_indices, g.u_weights)
+        a = BipartiteGraph(g.u_labels, g.v_labels, eu, g.u_adj.indices, g.u_adj.data)
+        b = BipartiteGraph(list(g.u_labels), list(g.v_labels), eu, g.u_adj.indices, g.u_adj.data)
         assert a.to_bytes() == b.to_bytes() == g.to_bytes()
 
 
@@ -945,8 +957,8 @@ class TestKCore:
             # average degree k + 1 leaves a core that is neither empty nor whole
             g = random_bigraph(np.random.default_rng(int(graph[-2:])), 30, 30, k + 1.0)
         # reference: peel sets until stable
-        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
-        edges = {(int(a), int(b)) for a, b in zip(eu, g.u_indices)}
+        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_adj.indptr))
+        edges = {(int(a), int(b)) for a, b in zip(eu, g.u_adj.indices)}
         while True:
             du = {}
             dv = {}
@@ -962,8 +974,8 @@ class TestKCore:
             }
         assert edges, "the case should keep a non-empty core"
         core = k_core_filter(g, k)
-        core_eu = np.repeat(np.arange(core.u_count), np.diff(core.u_indptr))
-        assert {(core.u_labels[a], core.v_labels[b]) for a, b in zip(core_eu, core.u_indices)} == {
+        core_eu = np.repeat(np.arange(core.u_count), np.diff(core.u_adj.indptr))
+        assert {(core.u_labels[a], core.v_labels[b]) for a, b in zip(core_eu, core.u_adj.indices)} == {
             (g.u_labels[a], g.v_labels[b]) for a, b in edges
         }
         assert core.edge_count == len(edges)
@@ -975,8 +987,8 @@ class TestSynth:
         b = synth_bipartite(50, 40, 300, (0.0, 10.0), seed=9)
         assert a.fingerprint == b.fingerprint
         assert a.edge_count == 300
-        assert a.u_weights.min() > 0.0
-        assert a.u_weights.max() <= 10.0
+        assert a.u_adj.data.min() > 0.0
+        assert a.u_adj.data.max() <= 10.0
 
     def test_different_seeds_differ(self):
         a = synth_bipartite(50, 40, 300, seed=1)

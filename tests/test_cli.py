@@ -120,7 +120,7 @@ class TestSynthPreprocess:
         [g] = built
         data = (out_dir / "graph.bin").read_bytes()
         assert data == g.to_bytes()
-        assert np.shares_memory(g.u_weights, np.frombuffer(g.to_bytes(), np.uint8))
+        assert np.shares_memory(g.u_adj.data, np.frombuffer(g.to_bytes(), np.uint8))
         meta = json.loads((out_dir / "meta.json").read_text(encoding="utf-8"))
         assert meta["graph_fingerprint"] == hashlib.sha256(data).hexdigest() == g.fingerprint
 

@@ -2,6 +2,7 @@
 operand guard, the fallback import, and what a cold CLI process loads:
 no scipy.sparse, no module its command does not run, no BLAS threads."""
 
+import ast
 import importlib.machinery
 import io
 import json
@@ -56,14 +57,13 @@ class TestBitIdentity:
 
     def test_v_side_matches_scipy_tocsc(self, graph):
         csc = scipy_adj(graph, "u").tocsc()
-        same_bytes(graph.v_indptr, csc.indptr.astype(np.int64))
-        same_bytes(graph.v_indices, csc.indices.astype(np.int32))
-        same_bytes(graph.v_weights, csc.data)
+        same_bytes(graph.v_adj.indptr, csc.indptr)
+        same_bytes(graph.v_adj.indices, csc.indices)
+        same_bytes(graph.v_adj.data, csc.data)
 
     def test_views_share_the_graph_arrays(self, graph):
-        for view, indices, weights in ((graph.u_adj, graph.u_indices, graph.u_weights),
-                                       (graph.v_adj, graph.v_indices, graph.v_weights)):
-            assert view.indices is indices and view.data is weights
+        assert graph.v_indices is graph.v_adj.indices and graph.v_weights is graph.v_adj.data
+        for view in (graph.u_adj, graph.v_adj):
             assert not (view.indptr.flags.writeable or view.indices.flags.writeable
                         or view.data.flags.writeable)
 
@@ -123,15 +123,15 @@ class TestFallback:
         monkeypatch.setattr(csr, "_sparsetools", tools)
         fallback = build_and_score()
         assert via_scipy.calls == {"csr_tocsc", "csr_matvec"}
-        for name in ("v_indptr", "v_indices", "v_weights"):
-            same_bytes(getattr(fallback[0], name), getattr(direct[0], name))
+        for name in ("indptr", "indices", "data"):
+            same_bytes(getattr(fallback[0].v_adj, name), getattr(direct[0].v_adj, name))
         same_bytes(fallback[1], direct[1])
         same_bytes(fallback[2], direct[2])
 
 
 HEAVY = ("scipy.sparse", "numpy.f2py", "numpy.testing", "numpy.ma")
 # Modules only `eval-*`, `bench --threads N` and the tests need.
-UNUSED = ("bipush.evalkit", "bipush.oracle", "concurrent.futures")
+UNUSED = ("bipush.evalkit", "concurrent.futures")
 
 PROBE = """
 import io, json, sys
@@ -192,13 +192,37 @@ def test_cli_paths_never_import_scipy_sparse(probe_report):
 
 
 def test_cold_commands_load_only_what_they_run(probe_report):
-    # The package's evalkit and oracle names load on first use, and only a
+    # The package's evalkit names load on first use, and only a
     # threaded bench starts a pool; each eval-* imports what it needs and runs.
     assert {cmd: probe_report[cmd]["unused"] for cmd in ("import", "topk", "bench")} == dict.fromkeys(
         ("import", "topk", "bench"), [])
     for cmd in ("eval-qr", "eval-rec"):
         assert probe_report[cmd]["code"] == 0
         assert "bipush.evalkit" in probe_report[cmd]["unused"]
+
+
+def _imports_scipy_sparse(path: Path) -> bool:
+    """Whether the module at `path` has an import of scipy.sparse or of
+    anything in it, at any depth, function bodies included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+            return True
+    return False
+
+
+def test_no_module_but_csr_imports_scipy_sparse():
+    # The probe above sees only the paths its commands run; this holds the
+    # rule for every module of the package. csr's fallback import is found,
+    # so the scan does see such an import.
+    src = Path(bipush.__file__).parent
+    found = {path.relative_to(src).as_posix() for path in src.rglob("*.py") if _imports_scipy_sparse(path)}
+    assert found == {"csr.py"}
 
 
 OPENBLAS_PROBE = """

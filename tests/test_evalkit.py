@@ -85,10 +85,10 @@ class TestPrecisionRecall:
 
 class TestSplitEdges:
     def _edge_multiset(self, g):
-        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
+        eu = np.repeat(np.arange(g.u_count), np.diff(g.u_adj.indptr))
         return {
             (int(a), int(b), float(w))
-            for a, b, w in zip(eu, g.u_indices, g.u_weights)
+            for a, b, w in zip(eu, g.u_adj.indices, g.u_adj.data)
         }
 
     def test_partition_is_exact(self):
@@ -119,7 +119,7 @@ class TestSplitEdges:
         split = split_edges(g, 0.3, seed=8, side="u", negatives=15)
         original = {(a, b) for a, b, _ in (
             (int(x), int(y), 0) for x, y in zip(
-                np.repeat(np.arange(g.u_count), np.diff(g.u_indptr)), g.u_indices
+                np.repeat(np.arange(g.u_count), np.diff(g.u_adj.indptr)), g.u_adj.indices
             )
         )}
         held = {}
@@ -140,7 +140,7 @@ class TestSplitEdges:
         g = k_core_filter(synth_bipartite(300, 250, 3000, (0.0, 10.0), degree_skew=skew, seed=5), 2)
         split = split_edges(g, 0.2, seed=5, side=side, negatives=20)
         eu = np.repeat(np.arange(g.u_count), g.deg_u).tolist()
-        ev = g.u_indices.tolist()
+        ev = g.u_adj.indices.tolist()
         strat, other = (eu, ev) if side == "u" else (ev, eu)
         neigh = {}
         for s, o in zip(strat, other):
@@ -207,10 +207,10 @@ class TestDesirability:
         rng = np.random.default_rng(14)
         for _ in range(10):
             g = random_bigraph(rng, int(rng.integers(5, 30)), int(rng.integers(5, 30)), 3.0)
-            eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
+            eu = np.repeat(np.arange(g.u_count), np.diff(g.u_adj.indptr))
             nbr = {}
             wt = {}
-            for a, b, w in zip(eu.tolist(), g.u_indices.tolist(), g.u_weights.tolist()):
+            for a, b, w in zip(eu.tolist(), g.u_adj.indices.tolist(), g.u_adj.data.tolist()):
                 nbr.setdefault(a, set()).add(b)
                 wt[(a, b)] = w
             qi, qj = rng.integers(0, g.u_count, size=2)
@@ -227,8 +227,8 @@ class TestDesirability:
         rng = np.random.default_rng(17)
         for _ in range(10):
             g = random_bigraph(rng, int(rng.integers(5, 30)), int(rng.integers(5, 30)), 3.0)
-            eu = np.repeat(np.arange(g.u_count), np.diff(g.u_indptr))
-            wt = dict(zip(zip(eu.tolist(), g.u_indices.tolist()), g.u_weights.tolist()))
+            eu = np.repeat(np.arange(g.u_count), np.diff(g.u_adj.indptr))
+            wt = dict(zip(zip(eu.tolist(), g.u_adj.indices.tolist()), g.u_adj.data.tolist()))
             nbr = {}
             for a, b in wt:
                 nbr.setdefault(a, set()).add(b)
@@ -253,8 +253,8 @@ class TestPredictScore:
                 row = sim(ui)
                 order = np.argsort(-row, kind="stable")
                 peers = [i for i in order.tolist() if i != ui][:3]
-                s, e = train.v_indptr[v], train.v_indptr[v + 1]
-                rated = dict(zip(train.v_indices[s:e].tolist(), train.v_weights[s:e].tolist()))
+                s, e = train.v_adj.indptr[v], train.v_adj.indptr[v + 1]
+                rated = dict(zip(train.v_adj.indices[s:e].tolist(), train.v_adj.data[s:e].tolist()))
                 pool = set(peers) | set(rated)
                 num = sum(row[j] * rated.get(j, 0.0) for j in pool)
                 den = sum(row[j] for j in pool)
@@ -279,7 +279,7 @@ class TestSimilarityPlugs:
 
     def test_jaccard_matches_neighbor_sets(self):
         g = synth_bipartite(40, 30, 200, (0.0, 5.0), degree_skew=1.2, seed=3)
-        nbrs = [set(g.u_indices[g.u_indptr[i] : g.u_indptr[i + 1]].tolist()) for i in range(g.u_count)]
+        nbrs = [set(g.u_adj.indices[g.u_adj.indptr[i] : g.u_adj.indptr[i + 1]].tolist()) for i in range(g.u_count)]
         rows = jaccard_rows(g)
         for ui in range(g.u_count):
             expect = [len(nbrs[ui] & n) / len(nbrs[ui] | n) for n in nbrs]

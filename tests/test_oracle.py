@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from bipush import exact_bhpp, exact_hpp, exact_hpp_solve
 from conftest import random_bigraph
+from oracle import exact_bhpp, exact_hpp, exact_hpp_solve
 
 ALPHA = 0.15
 

@@ -96,7 +96,7 @@ def test_score_sink_and_resident_bytes_read_a_loaded_graph(worker, tmp_path):
     for i, at in enumerate(perm):
         u_labels[at] = f"u{i}"
     eu = perm[np.repeat(np.arange(shape.u_count), shape.deg_u)]
-    BipartiteGraph(u_labels, shape.v_labels, eu, shape.u_indices, shape.u_weights).save(tmp_path / "graph.bin")
+    BipartiteGraph(u_labels, shape.v_labels, eu, shape.u_adj.indices, shape.u_adj.data).save(tmp_path / "graph.bin")
     g = BipartiteGraph.load(tmp_path / "graph.bin")
     res = bipush.bhpp_query(g, build_index_meta(g), "u7", 1e-4)
 

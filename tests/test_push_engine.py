@@ -15,8 +15,6 @@ from bipush import (
     ResidueLedger,
     bhpp_query,
     build_index_meta,
-    exact_hpp,
-    exact_hpp_solve,
     pi_push,
     power_iteration,
     required_iterations,
@@ -25,6 +23,7 @@ from bipush import (
     synth_bipartite,
 )
 from conftest import random_bigraph, scipy_adj
+from oracle import exact_hpp, exact_hpp_solve
 
 ALPHA = 0.15
 
@@ -534,9 +533,9 @@ class TestPiPush:
                                float(rng.uniform(1.5, 6.0)))
         if shape == "wide-weights":
             # per-edge weights spread over six decades
-            w = g.u_weights * np.exp(rng.uniform(0.0, np.log(1e6), g.edge_count))
+            w = g.u_adj.data * np.exp(rng.uniform(0.0, np.log(1e6), g.edge_count))
             g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u),
-                               g.u_indices, w)
+                               g.u_adj.indices, w)
         src = int(rng.integers(0, g.u_count))
         out = pi_push(g, src, ALPHA, eps)
         self._check(g, src, out)
@@ -695,8 +694,8 @@ class TestBracket:
         rng = np.random.default_rng(seed)
         g = random_bigraph(rng, int(rng.integers(2, 40)), int(rng.integers(2, 40)),
                            float(rng.uniform(1.0, 5.0)))
-        w = g.u_weights * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
-        g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_indices, w)
+        w = g.u_adj.data * 10.0 ** rng.uniform(-decades / 2, decades / 2, g.edge_count)
+        g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u), g.u_adj.indices, w)
         p, ws = dense_walk(g), g.ws_u
         np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-12)
         np.testing.assert_allclose(ws[:, None] * p, (ws[:, None] * p).T, rtol=1e-12, atol=0)
@@ -742,9 +741,9 @@ class TestBracket:
             edges = min(u_count * v_count, 4 * max(u_count, v_count))
             g = synth_bipartite(u_count, v_count, edges, (0.0, 10.0), seed=seed)
         if shape == "30-decades":
-            w = g.u_weights * 10.0 ** rng.uniform(-15, 15, g.edge_count)
+            w = g.u_adj.data * 10.0 ** rng.uniform(-15, 15, g.edge_count)
             g = BipartiteGraph(g.u_labels, g.v_labels, np.repeat(np.arange(g.u_count), g.deg_u),
-                               g.u_indices, w)
+                               g.u_adj.indices, w)
         assume(is_connected(g))
         q = int(rng.integers(0, g.u_count))
         pi = exact_hpp_solve(g, ALPHA)
