@@ -46,8 +46,11 @@ class AliasTables:
 
 
 def _build_side(indptr, weights, count) -> tuple[np.ndarray, np.ndarray]:
+    # Every slot starts certain and aliased to itself, its own offset within
+    # its row; the slots left in `small` or `large` below keep that, and only
+    # float roundoff leaves one in `small`.
     prob = np.ones(len(weights))
-    alias = np.zeros(len(weights), dtype=np.int64)
+    alias = np.arange(len(weights), dtype=np.int64) - np.repeat(indptr[:-1], np.diff(indptr))
     for node in range(count):
         s, e = int(indptr[node]), int(indptr[node + 1])
         d = e - s
@@ -67,13 +70,6 @@ def _build_side(indptr, weights, count) -> tuple[np.ndarray, np.ndarray]:
                 small.append(lg)
             else:
                 large.append(lg)
-        for i in large:
-            prob[s + i] = 1.0
-            alias[s + i] = i
-        for i in small:
-            # Only float roundoff lands here; these slots never alias out.
-            prob[s + i] = 1.0
-            alias[s + i] = i
     return prob, alias
 
 

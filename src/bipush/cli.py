@@ -7,7 +7,9 @@ methods), eval-qr / eval-rec (the two offline studies).
 Every command is deterministic given its configuration and seed. Options can
 also come from a key=value config file (--config); explicit flags win over
 the file, the file wins over built-in defaults. Exit codes: 0 success,
-1 usage error, 2 data error, 3 a bench method was excluded by timeout.
+1 usage error (an option out of range, found before any file is touched),
+2 data error (an unwritable output or unreadable input included), 3 a bench
+method was excluded by timeout.
 """
 
 from __future__ import annotations
@@ -62,27 +64,44 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _list(conv):
+    return lambda text: [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _checked(conv, ok, rule):
+    """A converter that parses with `conv`, then refuses a value `ok` rejects."""
+
+    def convert(text: str):
+        value = conv(text)
+        if not ok(value):
+            raise ValueError(f"{rule}, got {text!r}")
+        return value
+
+    return convert
 
 
-def _strs(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _one_of(names):
+    return _checked(str, names.__contains__, f"must be one of {', '.join(names)}")
 
+
+def _subset_of(names):
+    return _checked(_list(str), lambda got: 0 < len(got) == len(set(got)) and set(got) <= set(names),
+                    f"must list one or more of {', '.join(names)}, none twice")
+
+
+_FRACTION = _checked(float, lambda x: 0.0 < x < 1.0, "must lie strictly between 0 and 1")
+_COUNT = _checked(int, lambda n: n >= 1, "must be at least 1")
 
 _REQUIRED = object()
 
 # Option schema per command: dest -> (converter, default, help). Flags are
-# registered from the same table, so config files and the parser agree. Each
-# command takes only the shared options it reads.
+# registered from the same table, so config files and the parser agree, and
+# each converter also checks its value's range. Each command takes only the
+# shared options it reads.
 _CONFIG = {"config": (str, None, "key=value config file; explicit flags win")}
-_FORMAT = {"format": (str, "tsv", "output encoding: tsv or json-lines")}
+_FORMAT = {"format": (_one_of(FORMATS), "tsv", "output encoding: tsv or json-lines")}
 _SEED = {"seed": (int, 0, "root seed; all randomness derives from it")}
-_THREADS = {"threads": (int, 1, "worker threads for batch commands (1 = serial)")}
+_THREADS = {"threads": (_COUNT, 1, "worker threads for batch commands (1 = serial)")}
 _BATCH = {**_CONFIG, **_FORMAT, **_SEED, **_THREADS}
 _RANK = {
     **_CONFIG,
@@ -91,7 +110,7 @@ _RANK = {
     "index": (str, _REQUIRED, "directory written by preprocess"),
     "query": (str, _REQUIRED, "U-side query label"),
     "epsilon": (float, 1e-5, "entrywise score accuracy"),
-    "method": (str, "ssbipush", "ssbipush, mcsp, or pisp"),
+    "method": (_one_of(METHODS), "ssbipush", "ssbipush, mcsp, or pisp"),
     "p_f": (float, 1e-6, "walk failure probability (mcsp)"),
 }
 # The two studies' shared options, in --help order: each study's own options
@@ -102,13 +121,14 @@ _STUDY_INPUT = {
     "delimiter": (str, None, "column delimiter"),
     "default_weight": (float, None, "weight for two-column lines"),
     "kcore": (int, None, "apply k-core filtering first"),
-    "holdout": (float, 0.2, "held-out edge fraction"),
-    "ks": (_ints, [5, 10], "comma-separated cutoffs"),
+    "holdout": (_FRACTION, 0.2, "held-out edge fraction"),
+    "ks": (_checked(_list(int), lambda ks: min(ks, default=0) >= 1,
+                    "must list one or more cutoffs, each at least 1"), [5, 10], "comma-separated cutoffs"),
 }
 _STUDY_SIM = {
-    "methods": (_strs, ["ssbipush", "jaccard", "naive-ppr"], "similarities"),
+    "methods": (_subset_of(EVAL_METHODS), ["ssbipush", "jaccard", "naive-ppr"], "similarities"),
     "epsilon": (float, 1e-5, "accuracy for push-based similarities"),
-    "alpha": (float, 0.15, "restart probability"),
+    "alpha": (_FRACTION, 0.15, "restart probability"),
 }
 
 _SCHEMAS: dict[str, dict] = {
@@ -129,7 +149,7 @@ _SCHEMAS: dict[str, dict] = {
         "delimiter": (str, None, "column delimiter (default: any whitespace)"),
         "default_weight": (float, None, "weight for two-column lines"),
         "kcore": (int, None, "apply k-core filtering before indexing"),
-        "alpha": (float, 0.15, "restart probability"),
+        "alpha": (_FRACTION, 0.15, "restart probability"),
         "out_dir": (str, _REQUIRED, "directory for graph.bin and meta.json"),
     },
     "query": {
@@ -145,24 +165,26 @@ _SCHEMAS: dict[str, dict] = {
     "bench": {
         **_BATCH,
         "index": (str, _REQUIRED, "directory written by preprocess"),
-        "methods": (_strs, list(METHODS), "comma-separated methods"),
-        "epsilons": (_floats, [1e-2, 1e-3, 1e-4], "comma-separated accuracies"),
-        "queries": (int, 50, "number of sampled query nodes"),
+        "methods": (_subset_of(METHODS), list(METHODS), "comma-separated methods"),
+        "epsilons": (_checked(_list(float), len, "must list one or more accuracies"),
+                     [1e-2, 1e-3, 1e-4], "comma-separated accuracies"),
+        "queries": (_COUNT, 50, "number of sampled query nodes"),
         "p_f": (float, 1e-6, "walk failure probability (mcsp)"),
         "timeout": (float, 3600.0, "wall-clock seconds per query before exclusion"),
     },
     "eval-qr": {
         **_STUDY_INPUT,
-        "queries": (int, 100, "number of sampled queries"),
+        "queries": (_COUNT, 100, "number of sampled queries"),
         **_STUDY_SIM,
         "weighted_degree": (_bool, False, "weight-sum desirability denominator"),
     },
     "eval-rec": {
         **_STUDY_INPUT,
-        "holdout": (float, 0.2, "held-out edge fraction (per user)"),
-        "negatives": (int, 100, "sampled non-edges per user"),
+        "holdout": (_FRACTION, 0.2, "held-out edge fraction (per user)"),
+        "negatives": (_checked(int, lambda n: n >= 0, "must be at least 0"), 100,
+                      "sampled non-edges per user"),
         "s_size": (int, 50, "similar-item neighborhood size"),
-        "users": (int, 100, "number of evaluated users"),
+        "users": (_COUNT, 100, "number of evaluated users"),
         **_STUDY_SIM,
     },
 }
@@ -226,8 +248,6 @@ def make_config(command: str, namespace: argparse.Namespace) -> argparse.Namespa
                 raise UsageError(f"bad value for --{dest.replace('_', '-')}: {exc}") from None
         else:
             merged[dest] = raw
-    if "format" in merged and merged["format"] not in FORMATS:
-        raise UsageError(f"format must be one of {', '.join(FORMATS)}")
     return argparse.Namespace(command=command, **merged)
 
 
@@ -307,17 +327,7 @@ def cmd_synth(cfg, out, err) -> int:
     return EXIT_OK
 
 
-def _check_fractions(cfg, *names) -> None:
-    for name in names:
-        value = getattr(cfg, name)
-        if not 0.0 < value < 1.0:
-            raise UsageError(f"--{name} must lie strictly between 0 and 1, got {value}")
-
-
 def cmd_preprocess(cfg, out, err) -> int:
-    # Checked before anything is written, so a bad value leaves no graph.bin
-    # without its meta.json.
-    _check_fractions(cfg, "alpha")
     t0 = time.perf_counter()
     g = _load_graph(cfg)
     out_dir = Path(cfg.out_dir)
@@ -338,21 +348,14 @@ def cmd_preprocess(cfg, out, err) -> int:
     return EXIT_OK
 
 
-def _check_methods(methods, known) -> None:
-    for m in methods:
-        if m not in known:
-            raise UsageError(f"unknown method {m!r}; choose from {', '.join(known)}")
-
-
 def _answer(method, g, meta, q, eps, p_f, seed, alias=None, deadline=None) -> "QueryResult":
-    """Answer one query with the named method.
+    """Answer one query with `method`, one of METHODS as the schema checks.
 
     The query functions are read from this module's globals at call time, so
     a caller that rebinds `bhpp_query` or `pisp_query` here sees every query.
     mcsp builds alias tables unless `alias` is given; `seed` and `deadline`
     are its walk seed and wall-clock limit.
     """
-    _check_methods([method], METHODS)
     if method == "ssbipush":
         return bhpp_query(g, meta, q, eps)
     if method == "pisp":
@@ -387,14 +390,11 @@ def cmd_topk(cfg, out, err) -> int:
 
 
 def cmd_bench(cfg, out, err) -> int:
-    if cfg.queries < 1:
-        raise UsageError("--queries must be positive")
     # A deadline also lifts the walk cap, so the cell budget below, at most
     # timeout * queries, must be one that can pass.
     if not 0.0 < cfg.timeout * cfg.queries < math.inf:
         raise UsageError("--timeout must be positive and --timeout times --queries finite")
     g, meta = _load_index(cfg.index)
-    _check_methods(cfg.methods, METHODS)
     rng = substream(cfg.seed, "bench-queries")
     n = min(cfg.queries, g.u_count)
     queries = rng.choice(g.u_count, size=n, replace=False).tolist()
@@ -484,24 +484,15 @@ def cmd_bench(cfg, out, err) -> int:
 
 
 def cmd_eval(cfg, out, err) -> int:
-    qr = cfg.command == "eval-qr"
-    count, flag = (cfg.queries, "--queries") if qr else (cfg.users, "--users")
-    if count < 1:
-        raise UsageError(f"{flag} must be positive")
-    _check_methods(cfg.methods, EVAL_METHODS)
-    # Checked before the graph is read, as preprocess checks --alpha.
-    _check_fractions(cfg, "alpha", "holdout")
-    if not qr and cfg.negatives < 0:
-        raise UsageError(f"--negatives must be nonnegative, got {cfg.negatives}")
     from . import evalkit
 
     g = _load_graph(cfg)
     shared = dict(holdout_ratio=cfg.holdout, ks=tuple(cfg.ks), methods=tuple(cfg.methods),
                   epsilon=cfg.epsilon, alpha=cfg.alpha, seed=cfg.seed, threads=cfg.threads)
-    if qr:
-        rows = evalkit.qr_ndcg_eval(g, n_queries=count, weighted_degree=cfg.weighted_degree, **shared)
+    if cfg.command == "eval-qr":
+        rows = evalkit.qr_ndcg_eval(g, n_queries=cfg.queries, weighted_degree=cfg.weighted_degree, **shared)
     else:
-        rows = evalkit.rec_eval(g, negatives=cfg.negatives, s_size=cfg.s_size, n_users=count, **shared)
+        rows = evalkit.rec_eval(g, negatives=cfg.negatives, s_size=cfg.s_size, n_users=cfg.users, **shared)
     emit_rows(rows, ["method", "k", "metric", "mean", "stddev", "n"], cfg.format, out)
     return EXIT_OK
 
@@ -532,7 +523,7 @@ def main(argv=None, out=None, err=None) -> int:
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # bad data, or a file that cannot be read or written
         err.write(f"data error: {exc}\n")
         return EXIT_DATA
     except ValueError as exc:  # an option value the library rejects, e.g. --k 0

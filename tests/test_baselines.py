@@ -1,5 +1,6 @@
 """Walk-based and hybrid baselines: sampling, concentration, determinism."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -97,6 +98,32 @@ class TestAliasTables:
         alias = build_alias(g2)
         # every U row has one edge; probability must be exactly one
         np.testing.assert_array_equal(alias.u_prob, 1.0)
+
+    @pytest.mark.parametrize("skew", [None, 1.5])
+    def test_each_slot_gets_exactly_its_weight_share(self, skew):
+        # A slot is drawn with 1/d, kept with its prob, and otherwise hands
+        # the draw to its alias; summed over the row, that is its share of
+        # the row's weight.
+        g = synth_bipartite(120, 80, 1500, (0.0, 1.0), degree_skew=skew, seed=4)
+        tables = build_alias(g)
+        for adj, prob, alias in ((g.u_adj, tables.u_prob, tables.u_alias),
+                                 (g.v_adj, tables.v_prob, tables.v_alias)):
+            for row in range(len(adj.indptr) - 1):
+                lo, hi = adj.indptr[row], adj.indptr[row + 1]
+                p, a, w = prob[lo:hi], alias[lo:hi], adj.data[lo:hi]
+                assert ((0 <= a) & (a < hi - lo)).all()
+                share = (p + np.bincount(a, weights=1.0 - p, minlength=hi - lo)) / (hi - lo)
+                np.testing.assert_allclose(share, w / w.sum(), rtol=0, atol=1e-12)
+
+    def test_tables_are_pinned(self):
+        # the tables mcsp's seeded walks read, byte for byte
+        g = synth_bipartite(300, 200, 3000, (0.0, 1.0), degree_skew=1.2, seed=2)
+        tables = build_alias(g)
+        digest = hashlib.sha256()
+        for arr in (tables.u_prob, tables.u_alias, tables.v_prob, tables.v_alias):
+            digest.update(arr.dtype.str.encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == "b6dffd59f56295d37a39ca57d3c9b9c49ebeeaad537cff007d4389168ee8f66d"
 
 
 class TestMonteCarlo:

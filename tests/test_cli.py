@@ -1,15 +1,18 @@
 """Command-line surface: round trips, encodings, config merge, exit codes."""
 
+import ast
 import hashlib
 import io
 import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bipush.baselines as baselines
+import bipush.cli as cli
 from bipush import BipartiteGraph, mc_walk_count
 from bipush.cli import (
     EXIT_DATA,
@@ -629,6 +632,58 @@ class TestConfigAndErrors:
         code, _, _ = run_cli("--help")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("cmd, opt, value", [
+        *[("bench", opt, value) for opt, value in (
+            ("methods", ""), ("methods", "pisp,pisp"), ("epsilons", ""), ("threads", "0"), ("threads", "-3"))],
+        *[(cmd, opt, value) for cmd in ("eval-qr", "eval-rec") for opt, value in (
+            ("methods", ""), ("methods", "jaccard,jaccard"), ("ks", ""), ("ks", "0"),
+            ("threads", "0"), ("threads", "-3"))],
+    ], ids=lambda v: repr(v) if v == "" else v)
+    def test_option_out_of_its_range_is_refused_before_any_file(
+            self, index_dir, tmp_path, monkeypatch, cmd, opt, value, source):
+        # an empty list, a method named twice or fewer than one thread is
+        # refused where the option is declared, from a flag or a config
+        # line alike, before the command reads its input
+        def no_input(*args):
+            raise AssertionError("a refused command read its input")
+
+        monkeypatch.setattr(cli, "_load_index", no_input)
+        monkeypatch.setattr(cli, "_load_graph", no_input)
+        _, graph, idx, _ = index_dir
+        given = ("--index", str(idx)) if cmd == "bench" else ("--graph", str(graph))
+        if source == "flag":
+            argv = (cmd, *given, f"--{opt}", value)
+        else:
+            (tmp_path / "run.cfg").write_text(f"{opt} = {value}\n")
+            argv = (cmd, *given, "--config", str(tmp_path / "run.cfg"))
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"usage error: bad value for --{opt}: ")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("case", ["synth-out-in-a-missing-dir", "preprocess-out-dir-is-a-file",
+                                      "topk-graph-bin-is-a-dir"])
+    def test_unwritable_output_or_unreadable_cache_is_data_error(self, index_dir, tmp_path, case):
+        _, graph, idx, _ = index_dir
+        if case.startswith("synth"):
+            argv = ("synth", "--u-count", "4", "--v-count", "4", "--edge-count", "8",
+                    "--out", str(tmp_path / "missing" / "g.tsv"))
+        elif case.startswith("preprocess"):
+            (tmp_path / "taken").write_text("")
+            argv = ("preprocess", "--graph", str(graph), "--out-dir", str(tmp_path / "taken"))
+        else:
+            (tmp_path / "bad" / "graph.bin").mkdir(parents=True)
+            (tmp_path / "bad" / "meta.json").write_text((idx / "meta.json").read_text())
+            argv = ("topk", "--index", str(tmp_path / "bad"), "--query", "u0")
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
+
     def test_invalid_meta_is_data_error(self, index_dir, tmp_path):
         # a NaN alpha would turn every score NaN
         _, _, idx, _ = index_dir
@@ -767,3 +822,29 @@ class TestConfigAndErrors:
         assert code == EXIT_DATA
         assert "match" in err
         assert "rebuild" in err
+
+
+def _usage_error_raises(path):
+    """(function, message source) for each `raise UsageError(...)` in the
+    module at `path`, by the top-level function or method it sits in."""
+    found = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for fn in [top] if isinstance(top, ast.FunctionDef) else getattr(top, "body", []):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "UsageError":
+                    found.append((fn.name, ast.unparse(exc.args[0])))
+    return found
+
+
+def test_option_rules_live_in_the_schema():
+    # Only argument parsing and config merging refuse an option; a range
+    # rule belongs in the option's schema entry, so no handler or helper
+    # raises UsageError but bench, for the one rule that spans two options.
+    parsing = {"error", "_parse_config_file", "make_config", "main"}
+    raises = _usage_error_raises(Path(cli.__file__))
+    assert {name for name, _ in raises} >= parsing
+    assert [(name, msg) for name, msg in raises if name not in parsing] == [
+        ("cmd_bench", repr("--timeout must be positive and --timeout times --queries finite"))]
